@@ -17,7 +17,7 @@ MissingWeightSpace instead of silently returning zero.
 import itertools
 from fractions import Fraction
 
-from .exactla import SparseMatrix, RowReducer
+from .exactla import SparseMatrix, RowReducer, QuotientMap
 from . import rootdata
 
 
@@ -416,39 +416,37 @@ def quotient(a, vectors, name=None, check=True):
     vectors: list of (mu, dict index -> coeff) in weight-space coordinates.
     The span must be f_i-stable; with check=True this is verified.
     """
-    reducers = {}
+    groups = {}
     for mu, vec in vectors:
-        reducers.setdefault(mu, RowReducer()).add(vec)
+        groups.setdefault(mu, []).append(vec)
+    quots = {mu: QuotientMap(len(a.spaces.get(mu, ())), vecs)
+             for mu, vecs in groups.items()}
     spaces = {}
-    colmap = {}
+    kept = {}
     for mu, lbls in a.spaces.items():
-        red = reducers.get(mu)
-        pivots = set(red.echelon) if red else set()
-        keep = [c for c in range(len(lbls)) if c not in pivots]
+        q = quots.get(mu)
+        keep = q.kept if q else list(range(len(lbls)))
         if keep:
             spaces[mu] = [lbls[c] for c in keep]
-            colmap[mu] = {c: k for k, c in enumerate(keep)}
+            kept[mu] = keep
 
     def project(mu, vec):
-        red = reducers.get(mu)
-        res = red.reduce(vec) if red else vec
-        if not res:
-            return {}
-        return {colmap[mu][c]: v for c, v in res.items() if v}
+        q = quots.get(mu)
+        return q.project(vec) if q else vec
 
     if check:
-        for mu, red in reducers.items():
+        for mu, q in quots.items():
             for i in range(1, a.m):
                 target = rootdata.sub(mu, rootdata.simple_root(a.m, i))
                 mat = a.lower_matrix(i, mu)
-                tred = reducers.get(target)
-                for row in red.echelon.values():
+                tq = quots.get(target)
+                for row in q.reducer.echelon.values():
                     img = mat.apply(row)
-                    if img and (tred is None or tred.reduce(img)):
+                    if img and (tq is None or not tq.contains(img)):
                         raise NotSubmodule("span not stable under f_%d at %r" % (i, mu))
     lower = {}
     for mu in spaces:
-        srccols = sorted(colmap[mu])
+        srccols = kept[mu]
         for i in range(1, a.m):
             target = rootdata.sub(mu, rootdata.simple_root(a.m, i))
             mat = a.lower_matrix(i, mu)
@@ -501,32 +499,19 @@ def irreducible_module(m, lam):
     hw_weight = lam
     assert len(carrier.spaces[hw_weight]) == 1, "carrier top weight space is not a line"
 
-    reducers = {}
-    sub_rows = {}
+    reducers = {hw_weight: RowReducer()}
     queue = [(hw_weight, {0: Fraction(1)})]
-    reducers[hw_weight] = RowReducer()
     reducers[hw_weight].add(queue[0][1])
-    sub_rows[hw_weight] = [dict(queue[0][1])]
     while queue:
         mu, vec = queue.pop()
         for i in range(1, m):
             tgt, img = carrier.apply_lower(i, mu, vec)
-            if not img:
-                continue
-            red = reducers.setdefault(tgt, RowReducer())
-            before = red.rank
-            # remember the new basis row in un-normalized ambient coords is
-            # recoverable from the reducer itself
-            if red.add(img):
-                assert red.rank == before + 1
+            if img and reducers.setdefault(tgt, RowReducer()).add(img):
                 queue.append((tgt, img))
 
-    spaces = {}
-    for mu, red in reducers.items():
-        spaces[mu] = [("v", mu, k) for k in range(red.rank)]
-    pivots = {mu: sorted(red.echelon) for mu, red in reducers.items()}
-    rows = {mu: [red.echelon[p] for p in pivots[mu]] for mu, red in reducers.items()}
-
+    # the basis of each weight space is the reduced echelon basis of its span
+    basis = {mu: list(red.reduced_rows().values()) for mu, red in reducers.items()}
+    spaces = {mu: [("v", mu, k) for k in range(len(rows))] for mu, rows in basis.items()}
     lower = {}
     for mu in spaces:
         for i in range(1, m):
@@ -535,13 +520,9 @@ def irreducible_module(m, lam):
                 continue
             mat = carrier.lower_matrix(i, mu)
             ent = {}
-            for col, row in enumerate(rows[mu]):
-                img = mat.apply(row)
-                # img lies in the span; in RREF coordinates its basis
-                # coefficients are just its values at the pivot columns
-                for r, p in enumerate(pivots[target]):
-                    if p in img:
-                        ent[(r, col)] = img[p]
+            for col, row in enumerate(basis[mu]):
+                for r, v in reducers[target].coordinates(mat.apply(row)).items():
+                    ent[(r, col)] = v
             if ent:
                 lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(spaces[mu]), ent)
     mod = BModule(m, spaces, lower, name="L%r" % (lam,))

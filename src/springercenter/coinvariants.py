@@ -9,6 +9,7 @@ whole total-degree shell vanishes everything above it does too; tables
 are computed shell by shell until that happens.
 """
 
+import functools
 import itertools
 
 from .exactla import RowReducer
@@ -60,6 +61,11 @@ def dc_entry(m, i, j):
 
 def dc_table(m):
     """All nonzero bigraded dimensions of DC_m: dict (i, j) -> dim."""
+    return dict(_dc_table(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _dc_table(m):
     out = {}
     cap = m * m + 2
     for d in range(cap + 1):

@@ -1,16 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (weight-space quotients, BGG complexes, ideal
-slices) reduces to rank and kernel computations on sparse matrices with
-Fraction entries, so this module keeps those primitives in one place.
-No floating point anywhere.
+slices) reduces to rank, kernel and quotient computations on sparse
+matrices with Fraction entries, so this module keeps those primitives in
+one place.  They share one elimination kernel, RowReducer: a
+fraction-free integer echelon, exact over Q, which clears denominators
+once per vector and works on Python ints after that.  No floating point
+anywhere.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class NotAComplex(Exception):
     """Raised when consecutive maps of an alleged complex fail d.d == 0."""
+
+
+class InconsistentRanks(Exception):
+    """Raised when the ranks of a complex's maps would make a cohomology
+    dimension negative."""
 
 
 class SparseMatrix:
@@ -96,72 +106,152 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, len(self.entries))
 
 
-def _reduce_against(vec, echelon):
-    """Reduce a sparse vector against echelon rows (pivot col -> unit-pivot row).
+def _integer_row(vec):
+    """Primitive integer multiple of a sparse vector over Q.
 
-    The echelon rows are kept fully reduced against each other, so the
-    residual is supported away from all pivot columns.
+    Returns (row, num, den) with row == vec * num / den: num clears the
+    denominators and den is the gcd of the cleared entries.  Zero
+    entries are dropped.
     """
-    vec = dict(vec)
-    while True:
-        hit = None
-        for c in vec:
-            if c in echelon:
-                hit = c
-                break
-        if hit is None:
-            return vec
-        coef = vec[hit]
-        for c, v in echelon[hit].items():
-            nv = vec.get(c, 0) - coef * v
-            if nv:
-                vec[c] = nv
+    num = lcm(*[x.denominator for x in vec.values()])
+    row = {c: x.numerator * (num // x.denominator) for c, x in vec.items() if x}
+    den = gcd(*row.values())
+    if den > 1:
+        row = {c: x // den for c, x in row.items()}
+    return row, num, max(den, 1)
+
+
+def _sweep(row, echelon):
+    """Clear every pivot column of `echelon` from the integer row, in place.
+
+    echelon maps a pivot column to an integer row whose smallest column
+    is that pivot.  Pivots are cleared in ascending order, so clearing
+    one only adds entries at larger columns.  Each step first scales the
+    row by the smallest positive integer that makes its pivot entry a
+    multiple of the pivot row's.  Returns the product m of those
+    scalings: the result equals m times the given row modulo the span.
+    """
+    heap = [c for c in row if c in echelon]
+    heapify(heap)
+    get = row.get
+    mult = 1
+    while heap:
+        p = heappop(heap)
+        b = get(p)
+        if b is None:
+            continue
+        prow = echelon[p]
+        a = prow[p]
+        g = gcd(a, b)
+        if g != a:
+            s = a // g
+            mult *= s
+            for c in row:
+                row[c] *= s
+        t = b // g
+        for c, x in prow.items():
+            y = get(c)
+            if y is None:
+                row[c] = -t * x
+                if c in echelon:
+                    heappush(heap, c)
             else:
-                vec.pop(c, None)
+                y -= t * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+    return mult
 
 
 class RowReducer:
-    """Incremental reduced row echelon form over Q.
+    """Fraction-free semi-echelon form of a growing span over Q.
 
-    Used both for plain rank counting and for building quotient-space
-    coordinates: once a spanning set of the subspace is absorbed, the
-    non-pivot columns index a basis of the quotient and reduce() gives
-    the projection of any ambient vector in those coordinates.
+    Each row is a primitive integer row (coprime Python ints) whose
+    smallest column is its pivot, with a positive entry there.  Rows are
+    never reduced against later rows: rank and quotient projection do
+    not need it, and reduced_rows() back-solves once when a caller does.
+
+    The pivot columns are the leading columns of the span's vectors, so
+    they depend on the span alone; the non-pivot columns index a basis
+    of the quotient, and reduce() gives the projection of any ambient
+    vector in those coordinates.
     """
 
     def __init__(self):
-        self.echelon = {}  # pivot column -> sparse row with that pivot == 1
+        self.echelon = {}  # pivot column -> primitive integer row
 
     @property
     def rank(self):
         return len(self.echelon)
 
     def reduce(self, vec):
-        return _reduce_against(vec, self.echelon)
+        """The unique representative of vec modulo the span that has no
+        entry at a pivot column, with Fraction entries."""
+        row, num, den = _integer_row(vec)
+        num *= _sweep(row, self.echelon)
+        return {c: Fraction(x * den, num) for c, x in row.items()}
 
     def add(self, vec):
         """Absorb a vector; returns True if it enlarged the span."""
-        res = self.reduce(vec)
-        if not res:
+        row, _, _ = _integer_row(vec)
+        _sweep(row, self.echelon)
+        if not row:
             return False
-        piv = min(res)
-        inv = Fraction(1) / res[piv]
-        row = {c: v * inv for c, v in res.items()}
-        # keep full reduction: clear the new pivot from existing rows
-        for p, old in self.echelon.items():
-            if piv in old:
-                coef = old[piv]
-                for c, v in row.items():
-                    nv = old.get(c, 0) - coef * v
-                    if nv:
-                        old[c] = nv
-                    else:
-                        old.pop(c, None)
+        piv = min(row)
+        g = gcd(*row.values())
+        if row[piv] < 0:
+            g = -g
+        if g != 1:
+            row = {c: x // g for c, x in row.items()}
         self.echelon[piv] = row
         return True
 
-    def pivot_columns(self):
-        return sorted(self.echelon)
+    def reduced_rows(self):
+        """The reduced row echelon basis of the span, by one back-solve.
+
+        Returns pivot -> row in ascending pivot order; each row has
+        Fraction entries, a 1 at its pivot and 0 at every other pivot.
+        """
+        done = {}
+        for p in sorted(self.echelon, reverse=True):
+            row = dict(self.echelon[p])
+            _sweep(row, done)
+            g = gcd(*row.values())
+            done[p] = {c: x // g for c, x in row.items()}
+        out = {}
+        for p in sorted(done):
+            row = done[p]
+            out[p] = {c: Fraction(x, row[p]) for c, x in row.items()}
+        return out
+
+    def coordinates(self, vec):
+        """Coordinates of a vector of the span in the basis reduced_rows(),
+        keyed by position in ascending pivot order.  That basis is 1 at
+        its own pivot and 0 at the others, so they are vec's pivot values."""
+        return {k: vec[p] for k, p in enumerate(sorted(self.echelon)) if p in vec}
+
+
+class QuotientMap:
+    """Projection of Q^ncols onto its quotient by the span of some vectors.
+
+    The kept (non-pivot) columns, in ascending order, index a basis of
+    the quotient; project() gives a vector's coordinates in that basis.
+    """
+
+    def __init__(self, ncols, vectors):
+        self.reducer = RowReducer()
+        for vec in vectors:
+            self.reducer.add(vec)
+        self.kept = [c for c in range(ncols) if c not in self.reducer.echelon]
+        self._col = {c: k for k, c in enumerate(self.kept)}
+
+    def project(self, vec):
+        return {self._col[c]: v for c, v in self.reducer.reduce(vec).items()}
+
+    def contains(self, vec):
+        """Whether vec lies in the span."""
+        return not self.reducer.reduce(vec)
 
 
 def rank(mat):
@@ -180,15 +270,14 @@ def kernel_basis(mat):
     red = RowReducer()
     for row in mat.rows():
         red.add(row)
-    pivots = red.pivot_columns()
-    pivot_set = set(pivots)
+    rref = red.reduced_rows()
     out = []
     for c in range(mat.ncols):
-        if c in pivot_set:
+        if c in rref:
             continue
         vec = {c: Fraction(1)}
-        for p in pivots:
-            v = red.echelon[p].get(c, 0)
+        for p, row in rref.items():
+            v = row.get(c)
             if v:
                 vec[p] = -v
         out.append(vec)
@@ -225,10 +314,10 @@ class CochainComplex:
         for t, d in enumerate(self.dims):
             rin = ranks[t - 1] if t > 0 else 0
             rout = ranks[t] if t < len(self.maps) else 0
+            # im d_{t-1} lies in ker d_t, so a rank this large is wrong
+            if rin + rout > d:
+                raise InconsistentRanks(
+                    "ranks %d and %d around degree %d exceed its dimension %d"
+                    % (rin, rout, t, d))
             out.append(d - rout - rin)
-        # Euler characteristic is rank-independent, so this cross-checks
-        # the elimination against plain dimension counting.
-        lhs = sum((-1) ** t * d for t, d in enumerate(self.dims))
-        rhs = sum((-1) ** t * h for t, h in enumerate(out))
-        assert lhs == rhs, "Euler characteristic mismatch"
         return out

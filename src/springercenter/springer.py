@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactla import SparseMatrix, RowReducer, kernel_basis
+from .exactla import SparseMatrix, QuotientMap, kernel_basis
 from . import rootdata
 from . import bmodule
 from .bmodule import BModule, MissingWeightSpace, bracket, gl_label_weight
@@ -270,24 +270,18 @@ class VkComponent:
         complete = window is None
         window = set(bases) if window is None else set(window)
         self.window = window
-        self._reducer = {}
-        self._colmap = {}
+        self._quot = {}
         self._amb_index = {}
         spaces = {}
         for mu in window:
             amb = bases.get(mu)
             if not amb:
                 continue
-            red = RowReducer()
-            for vec in delta_subspace(m, k, r, mu):
-                red.add(vec)
-            pivots = set(red.echelon)
-            keep = [c for c in range(len(amb)) if c not in pivots]
-            self._reducer[mu] = red
+            quot = QuotientMap(len(amb), delta_subspace(m, k, r, mu))
+            self._quot[mu] = quot
             self._amb_index[mu] = {lbl: j for j, lbl in enumerate(amb)}
-            if keep:
-                spaces[mu] = [amb[c] for c in keep]
-                self._colmap[mu] = {c: q for q, c in enumerate(keep)}
+            if quot.kept:
+                spaces[mu] = [amb[c] for c in quot.kept]
         lower = {}
         for mu, lbls in spaces.items():
             for i in range(1, m):
@@ -312,14 +306,7 @@ class VkComponent:
             assert not label_vec, "image lands outside the ambient space"
             return {}
         idx = self._amb_index[mu]
-        vec = {idx[lbl]: v for lbl, v in label_vec.items()}
-        red = self._reducer[mu]
-        res = red.reduce(vec)
-        if not res:
-            return {}
-        cm = self._colmap.get(mu)
-        assert cm is not None, "nonzero residue in a killed weight space"
-        return {cm[c]: v for c, v in res.items()}
+        return self._quot[mu].project({idx[lbl]: v for lbl, v in label_vec.items()})
 
     def project(self, mu, label_vec):
         """Project an ambient vector, given as dict label -> coeff, to

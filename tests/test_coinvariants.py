@@ -65,6 +65,13 @@ def test_known_small_tables():
         (3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}
 
 
+def test_dc_table_is_memoized_but_returns_copies():
+    table = dc_table(3)
+    table[(9, 9)] = 1
+    assert dc_table(3) is not table
+    assert (9, 9) not in dc_table(3)
+
+
 def test_single_set_specialization_gives_coinvariant_series():
     # setting one variable set to zero recovers the ordinary coinvariant
     # algebra, whose Hilbert series is the length generating function

@@ -4,9 +4,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from springercenter import exactla
 from springercenter.exactla import (
     SparseMatrix, RowReducer, rank, kernel_dim, kernel_basis,
-    CochainComplex, NotAComplex,
+    CochainComplex, NotAComplex, InconsistentRanks,
 )
 
 
@@ -18,6 +19,7 @@ def dense(mat):
 
 
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+small_int = st.integers(min_value=-5, max_value=5)
 
 
 @st.composite
@@ -34,6 +36,66 @@ def sparse_matrices(draw, max_dim=6):
             if v:
                 entries[(r, c)] = v
     return SparseMatrix(nrows, ncols, entries)
+
+
+@st.composite
+def reduced_rows_and_vector(draw):
+    """A reducer fed random sparse rows, the dense rows, and one more
+    vector; entries are all Fractions or all ints."""
+    values = draw(st.sampled_from([small_fraction, small_int]))
+    ncols = draw(st.integers(1, 7))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols)
+    rows = draw(st.lists(sparse, max_size=7))
+    vec = draw(sparse)
+    red = RowReducer()
+    for row in rows:
+        red.add(row)
+    dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    return red, dense_rows, ncols, vec
+
+
+@given(reduced_rows_and_vector())
+@settings(max_examples=80, deadline=None)
+def test_pivots_and_reduced_rows_match_sympy_rref(case):
+    red, dense_rows, ncols, _ = case
+    if dense_rows:
+        rref, pivots = sympy.Matrix(dense_rows).rref()
+    else:
+        rref, pivots = sympy.zeros(0, ncols), ()
+    assert sorted(red.echelon) == list(pivots)
+    reduced = red.reduced_rows()
+    assert list(reduced) == list(pivots)
+    for k, p in enumerate(pivots):
+        want = {c: Fraction(int(v.p), int(v.q)) for c, v in enumerate(rref.row(k)) if v}
+        assert reduced[p] == want
+
+
+@given(reduced_rows_and_vector(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@settings(max_examples=80, deadline=None)
+def test_reduce_gives_the_unique_residual_off_the_pivots(case, q):
+    red, _, _, vec = case
+    res = red.reduce(vec)
+    assert not set(res) & set(red.echelon)
+    assert all(v and type(v) is Fraction for v in res.values())
+    # vec - res lies in the span
+    diff = {c: vec.get(c, 0) - res.get(c, 0) for c in set(vec) | set(res)}
+    before = red.rank
+    assert not red.add(diff)
+    assert red.rank == before
+    scaled = red.reduce({c: q * v for c, v in vec.items()})
+    assert scaled == {c: q * v for c, v in res.items() if q}
+
+
+@given(reduced_rows_and_vector(), st.lists(small_fraction, min_size=7, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_coordinates_recover_a_combination_of_reduced_rows(case, coeffs):
+    red, _, _, _ = case
+    vec = {}
+    for k, row in enumerate(red.reduced_rows().values()):
+        for c, v in row.items():
+            vec[c] = vec.get(c, 0) + coeffs[k] * v
+    vec = {c: v for c, v in vec.items() if v}
+    assert red.coordinates(vec) == {k: coeffs[k] for k in range(red.rank) if coeffs[k]}
 
 
 @given(sparse_matrices())
@@ -120,3 +182,13 @@ def test_two_step_complex_euler_characteristic(mat):
                         [mat, SparseMatrix(0, mat.nrows, {})])
     h = cx.cohomology_dims()
     assert h[0] - h[1] + h[2] == mat.ncols - mat.nrows
+
+
+def test_ranks_too_large_for_a_term_are_rejected(monkeypatch):
+    # 0 -> Q -> Q -> 0 with the identity has ranks 1; claiming 2 would
+    # make the cohomology of either term negative
+    cx = CochainComplex([1, 1], [SparseMatrix(1, 1, {(0, 0): Fraction(1)})])
+    assert cx.cohomology_dims() == [0, 0]
+    monkeypatch.setattr(exactla, "rank", lambda mat: 2)
+    with pytest.raises(InconsistentRanks):
+        cx.cohomology_dims()
