@@ -17,10 +17,9 @@ homogeneity of every arrow, and d.d == 0 on each module it is run over.
 """
 
 import logging
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactla import SparseMatrix, CochainComplex
+from .exactla import SparseMatrix, CochainComplex, canonical
 from . import rootdata, springer
 
 log = logging.getLogger(__name__)
@@ -30,7 +29,7 @@ class LoweringPolynomial:
     """A Q-linear combination of words in the lowering generators."""
 
     def __init__(self, terms):
-        self.terms = [(Fraction(c), tuple(w)) for c, w in terms]
+        self.terms = [(canonical(c), tuple(w)) for c, w in terms]
 
     def weight_drop(self, m):
         drops = set()
@@ -247,8 +246,10 @@ def bgg_cochain(e, lam=None):
                 if poly is None:
                     continue
                 for col in range(d):
-                    tgt, vec = e.apply_lowering_polynomial(poly, mu, {col: Fraction(1)})
-                    assert tgt == node_wt[w2]
+                    tgt, vec = e.apply_lowering_polynomial(poly, mu, {col: 1})
+                    if tgt != node_wt[w2]:
+                        raise ValueError("arrow %r -> %r lands at weight %r, not %r"
+                                         % (w, w2, tgt, node_wt[w2]))
                     for row, v in vec.items():
                         key = (offsets[t + 1][w2] + row, offsets[t][w] + col)
                         ent[key] = ent.get(key, 0) + v
@@ -293,8 +294,10 @@ def multiplicity(e, lam=None):
         power = lam[i - 1] + 1
         mu2 = data.node_weight(word, lam)
         for col in range(dims[0]):
-            tgt, vec = e.apply_word((i,) * power, lam, {col: Fraction(1)})
-            assert tgt == mu2
+            tgt, vec = e.apply_word((i,) * power, lam, {col: 1})
+            if tgt != mu2:
+                raise ValueError("f_%d^%d lands at weight %r, not %r"
+                                 % (i, power, tgt, mu2))
             for row, v in vec.items():
                 ent[(off[word] + row, col)] = v
     maps = [SparseMatrix(dims[1], dims[0], ent)]

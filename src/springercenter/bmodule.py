@@ -15,7 +15,6 @@ MissingWeightSpace instead of silently returning zero.
 """
 
 import itertools
-from fractions import Fraction
 
 from .exactla import SparseMatrix, RowReducer, QuotientMap
 from . import rootdata
@@ -454,7 +453,7 @@ def quotient(a, vectors, name=None, check=True):
                 continue
             ent = {}
             for newcol, c in enumerate(srccols):
-                img = mat.apply({c: Fraction(1)})
+                img = mat.apply({c: 1})
                 for r, v in project(target, img).items():
                     ent[(r, newcol)] = v
             if ent:
@@ -500,7 +499,7 @@ def irreducible_module(m, lam):
     assert len(carrier.spaces[hw_weight]) == 1, "carrier top weight space is not a line"
 
     reducers = {hw_weight: RowReducer()}
-    queue = [(hw_weight, {0: Fraction(1)})]
+    queue = [(hw_weight, {0: 1})]
     reducers[hw_weight].add(queue[0][1])
     while queue:
         mu, vec = queue.pop()
@@ -528,13 +527,6 @@ def irreducible_module(m, lam):
     mod = BModule(m, spaces, lower, name="L%r" % (lam,))
     assert mod.dim == rootdata.weyl_dim(lam), "character has wrong dimension"
     return mod
-
-
-def _wedge_top_weight(m, i):
-    v = [0] * m
-    for a in range(i):
-        v[a] = 1
-    return rootdata.from_eps(v)
 
 
 def check_serre(mod):

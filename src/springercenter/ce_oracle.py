@@ -12,7 +12,6 @@ weight space F[-sum(S)].
 """
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import SparseMatrix, CochainComplex

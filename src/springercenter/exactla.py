@@ -2,11 +2,14 @@
 
 Everything downstream (weight-space quotients, BGG complexes, ideal
 slices) reduces to rank, kernel and quotient computations on sparse
-matrices with Fraction entries, so this module keeps those primitives in
-one place.  They share one elimination kernel, RowReducer: a
-fraction-free integer echelon, exact over Q, which clears denominators
-once per vector and works on Python ints after that.  No floating point
-anywhere.
+matrices over Q, so this module keeps those primitives in one place.
+A rational is held in canonical form: an int when it is integral,
+otherwise a Fraction.  Most matrices in the pipeline are integral, and
+int arithmetic costs far less than Fraction arithmetic.  The primitives
+share one elimination kernel, RowReducer: a fraction-free integer
+echelon, exact over Q, which clears denominators once per vector (not
+at all when every value is an int) and works on Python ints after that.
+No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -23,22 +26,37 @@ class InconsistentRanks(Exception):
     dimension negative."""
 
 
+def canonical(v):
+    """The rational v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
-    Entries live in a dict keyed by (row, col); zeros are never stored.
+    Entries live in a dict keyed by (row, col); zeros are never stored,
+    and every stored value is canonical: an int exactly when it is
+    integral, otherwise a Fraction.  apply() and matmul() go through a
+    per-column index that is built on first use and never refreshed, so
+    neither the matrix nor its entries dict may change after
+    construction.
     """
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = {}
+        self._cols = None
         if entries:
             for (r, c), v in entries.items():
                 if v:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise IndexError("entry (%d,%d) outside %dx%d" % (r, c, nrows, ncols))
-                    self.entries[(r, c)] = Fraction(v)
+                    self.entries[(r, c)] = canonical(v)
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -50,14 +68,24 @@ class SparseMatrix:
             if isinstance(row, dict):
                 for c, v in row.items():
                     if v:
-                        entries[(r, c)] = Fraction(v)
+                        entries[(r, c)] = v
                         width = max(width, c + 1)
             else:
                 width = max(width, len(row))
                 for c, v in enumerate(row):
                     if v:
-                        entries[(r, c)] = Fraction(v)
+                        entries[(r, c)] = v
         return cls(nrows, width, entries)
+
+    def _columns(self):
+        """col -> flat list row, value, row, value, ... of the stored
+        entries, built once; flat, so that no tuple is kept per entry."""
+        if self._cols is None:
+            cols = {}
+            for (r, c), v in self.entries.items():
+                cols.setdefault(c, []).extend((r, v))
+            self._cols = cols
+        return self._cols
 
     def row(self, r):
         return {c: v for (rr, c), v in self.entries.items() if rr == r}
@@ -76,22 +104,31 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols_of_other = [dict() for _ in range(other.nrows)]
-        for (r, c), v in other.entries.items():
-            cols_of_other[r][c] = v
+        cols = self._columns()
         out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in cols_of_other[k].items():
-                key = (r, c)
-                out[key] = out.get(key, 0) + v * w
+        get = out.get
+        for (k, c), w in other.entries.items():
+            col = cols.get(k)
+            if col:
+                it = iter(col)
+                for r, v in zip(it, it):
+                    key = (r, c)
+                    out[key] = get(key, 0) + v * w
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def apply(self, vec):
-        """Apply to a sparse vector (dict col -> value); returns a dict."""
+        """Apply to a sparse vector (dict col -> value); returns a dict.
+
+        Only the columns that vec touches are visited."""
+        cols = self._columns()
         out = {}
-        for (r, c), v in self.entries.items():
-            if c in vec:
-                out[r] = out.get(r, 0) + v * vec[c]
+        get = out.get
+        for c, x in vec.items():
+            col = cols.get(c)
+            if col:
+                it = iter(col)
+                for r, v in zip(it, it):
+                    out[r] = get(r, 0) + v * x
         return {r: v for r, v in out.items() if v}
 
     def is_zero(self):
@@ -113,8 +150,12 @@ def _integer_row(vec):
     denominators and den is the gcd of the cleared entries.  Zero
     entries are dropped.
     """
-    num = lcm(*[x.denominator for x in vec.values()])
-    row = {c: x.numerator * (num // x.denominator) for c, x in vec.items() if x}
+    if all(type(x) is int for x in vec.values()):
+        num = 1
+        row = {c: x for c, x in vec.items() if x}
+    else:
+        num = lcm(*[x.denominator for x in vec.values()])
+        row = {c: x.numerator * (num // x.denominator) for c, x in vec.items() if x}
     den = gcd(*row.values())
     if den > 1:
         row = {c: x // den for c, x in row.items()}

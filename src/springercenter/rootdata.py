@@ -10,6 +10,7 @@ of {0,...,m-1}; s_i swaps positions i-1 and i.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 
 def to_eps(lam):
@@ -25,6 +26,7 @@ def from_eps(v):
     return tuple(v[i] - v[i + 1] for i in range(len(v) - 1))
 
 
+@lru_cache(maxsize=None)
 def simple_root(m, i):
     """alpha_i in fundamental coordinates, i in 1..m-1 (a Cartan matrix row)."""
     v = [0] * m

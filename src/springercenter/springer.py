@@ -18,7 +18,6 @@ BModule suitable for Lie algebra cohomology.
 """
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import SparseMatrix, QuotientMap, kernel_basis
@@ -303,7 +302,9 @@ class VkComponent:
         if mu not in self.window:
             raise MissingWeightSpace("weight %r outside window" % (mu,))
         if mu not in self._amb_index:
-            assert not label_vec, "image lands outside the ambient space"
+            if label_vec:
+                raise ValueError("nonzero vector at weight %r, where V_%d^{-%d} has "
+                                 "no ambient basis" % (mu, self.k, 2 * self.r))
             return {}
         idx = self._amb_index[mu]
         return self._quot[mu].project({idx[lbl]: v for lbl, v in label_vec.items()})

@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import springercenter
 from springercenter import rootdata, bgg, springer
 from springercenter.bgg import (
     bgg_data, bgg_cochain, cochain_window, multiplicity, diamond_entries,
@@ -121,3 +127,51 @@ def test_mirrored_entries_match_direct_computation():
 
 def test_parallel_diamond_matches_serial():
     assert hodge_diamond(3, jobs=2) == hodge_diamond(3)
+
+
+def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):
+    mod = trivial_module(3)
+    real = mod.apply_lowering_polynomial
+
+    def shifted(poly, mu, vec):
+        tgt, img = real(poly, mu, vec)
+        return rootdata.add(tgt, (1, 0)), img
+
+    monkeypatch.setattr(mod, "apply_lowering_polynomial", shifted)
+    with pytest.raises(ValueError, match="lands at weight"):
+        bgg_cochain(mod)
+
+
+def test_truncated_map_landing_at_the_wrong_weight_raises(monkeypatch):
+    mod = quotient_u(3)
+    real = mod.apply_word
+
+    def shifted(word, mu, vec):
+        tgt, img = real(word, mu, vec)
+        return rootdata.add(tgt, (1, 0)), img
+
+    monkeypatch.setattr(mod, "apply_word", shifted)
+    with pytest.raises(ValueError, match="lands at weight"):
+        multiplicity(mod, (1, 1))
+
+
+def test_both_routes_run_with_asserts_stripped():
+    # python -O removes every assert, so the invariant checks on these
+    # paths must be raised exceptions to survive it
+    code = "\n".join([
+        "import json, sys",
+        "from springercenter import bgg, ce_oracle, springer",
+        "mod = springer.build_vk_component(3, 2, 1).module",
+        "print(json.dumps([sys.flags.optimize,",
+        "                  bgg.diamond_total(bgg.hodge_diamond(3)),",
+        "                  bgg.multiplicity(mod), ce_oracle.ce_cohomology(mod)]))",
+    ])
+    src = os.path.dirname(os.path.dirname(springercenter.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    optimize, total, via_bgg, via_ce = json.loads(proc.stdout)
+    assert optimize == 1
+    assert total == 16
+    assert via_bgg == via_ce == [1, 3, 0, 0]

@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springercenter import cli
+from springercenter import bgg, cli, springer
 from springercenter.cli import (
     parse_expression, render_expression, build_module, ParseError, main,
 )
@@ -159,6 +159,26 @@ def test_verify_single_suite(tmp_path, monkeypatch, capsys):
                         "--no-cache"], capsys)
     assert code == 0
     assert out.count("PASS") == 1
+
+
+def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
+    built = []
+    real = springer.build_vk_component
+
+    def counting(m, k, r, window=None):
+        built.append((m, k, r, window))
+        return real(m, k, r, window=window)
+
+    monkeypatch.setattr(springer, "build_vk_component", counting)
+    code, out, _ = run(["verify", "--m", "3", "--suite", "oracle", "--no-cache"], capsys)
+    assert code == 0
+    assert out.startswith("PASS: oracle")
+    # each complete component once, although (i, j) and (i, 6 - j) share one
+    want = set()
+    for (i, j) in bgg.diamond_entries(3):
+        k = min(j, 6 - j)
+        want.add((3, k, (i + k) // 2, None))
+    assert sorted(built) == sorted(want)
 
 
 def test_bad_usage_exits_1(capsys):

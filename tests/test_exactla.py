@@ -20,6 +20,15 @@ def dense(mat):
 
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 small_int = st.integers(min_value=-5, max_value=5)
+# ints, integral Fractions and proper Fractions side by side
+small_rational = st.one_of(small_int, small_fraction)
+
+
+def sparse_vectors(ncols, values=small_rational):
+    """Dicts col -> value over ncols columns."""
+    if not ncols:
+        return st.just({})
+    return st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols)
 
 
 @st.composite
@@ -32,19 +41,25 @@ def sparse_matrices(draw, max_dim=6):
         for _ in range(count):
             r = draw(st.integers(0, nrows - 1))
             c = draw(st.integers(0, ncols - 1))
-            v = draw(small_fraction)
+            v = draw(small_rational)
             if v:
                 entries[(r, c)] = v
     return SparseMatrix(nrows, ncols, entries)
 
 
 @st.composite
+def matrices_and_vectors(draw):
+    mat = draw(sparse_matrices())
+    return mat, draw(sparse_vectors(mat.ncols))
+
+
+@st.composite
 def reduced_rows_and_vector(draw):
     """A reducer fed random sparse rows, the dense rows, and one more
-    vector; entries are all Fractions or all ints."""
-    values = draw(st.sampled_from([small_fraction, small_int]))
+    vector; entries are all Fractions, all ints, or mixed."""
+    values = draw(st.sampled_from([small_fraction, small_int, small_rational]))
     ncols = draw(st.integers(1, 7))
-    sparse = st.dictionaries(st.integers(0, ncols - 1), values, max_size=ncols)
+    sparse = sparse_vectors(ncols, values)
     rows = draw(st.lists(sparse, max_size=7))
     vec = draw(sparse)
     red = RowReducer()
@@ -136,6 +151,44 @@ def test_matmul_matches_dense(a, b):
         for c in range(prod.ncols):
             want = sum(da[r][t] * db[t][c] for t in range(a.ncols))
             assert prod.entries.get((r, c), 0) == want
+
+
+@given(matrices_and_vectors())
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_dense(case):
+    mat, vec = case
+    got = mat.apply(vec)
+    d = dense(mat)
+    want = {r: sum(d[r][c] * x for c, x in vec.items()) for r in range(mat.nrows)}
+    assert got == {r: v for r, v in want.items() if v}
+    # a second call goes through the column index built by the first
+    assert mat.apply(vec) == got
+
+
+def _is_canonical(v):
+    """Nonzero, and an int exactly when it is integral."""
+    return v and (type(v) is int) == (Fraction(v).denominator == 1)
+
+
+@given(sparse_matrices(), sparse_matrices())
+@settings(max_examples=40, deadline=None)
+def test_stored_entries_are_canonical(a, b):
+    assert all(_is_canonical(v) for v in a.entries.values())
+    b = SparseMatrix(a.ncols, b.ncols, {
+        (r, c): v for (r, c), v in b.entries.items() if r < a.ncols})
+    assert all(_is_canonical(v) for v in a.matmul(b).entries.values())
+    assert all(_is_canonical(v) for v in a.transpose().entries.values())
+    rows = SparseMatrix.from_rows(a.rows(), a.ncols)
+    assert all(_is_canonical(v) for v in rows.entries.values())
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), small_int))
+@settings(max_examples=40, deadline=None)
+def test_integral_fractions_store_as_ints(ints):
+    as_int = SparseMatrix(6, 6, ints)
+    as_fraction = SparseMatrix(6, 6, {k: Fraction(v) for k, v in ints.items()})
+    assert as_int == as_fraction
+    assert all(type(v) is int for v in as_fraction.entries.values())
 
 
 def test_row_reducer_reduces_spanned_vectors_to_zero():

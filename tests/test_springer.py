@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from springercenter import rootdata, bgg
-from springercenter.bmodule import sub_n, check_serre
+from springercenter.bmodule import sub_n, check_serre, MissingWeightSpace
 from springercenter.springer import (
-    duality_partner, ambient_bases, build_vk_component,
+    duality_partner, ambient_bases, ambient_component, build_vk_component,
     trivial_summand_witness, WitnessNotInvariant, delta_subspace,
 )
 
@@ -85,6 +85,19 @@ def test_windowed_component_matches_complete_on_window():
     part = build_vk_component(m, k, r, window=window)
     for mu in window:
         assert part.module.weight_dim(mu) == full.module.weight_dim(mu)
+
+
+def test_projecting_a_vector_where_no_ambient_basis_exists_raises():
+    m, k, r = 3, 2, 1
+    empty = (9, 9)  # far above every ambient weight
+    assert not ambient_component(m, k, r, empty)
+    comp = build_vk_component(m, k, r, window=bgg.cochain_window(m) | {empty})
+    assert comp.project(empty, {}) == {}
+    label = ambient_component(m, k, r, (0, 0))[0]
+    with pytest.raises(ValueError, match="no ambient basis"):
+        comp.project(empty, {label: 1})
+    with pytest.raises(MissingWeightSpace):
+        comp.project((8, 8), {label: 1})
 
 
 def test_witness_is_b_invariant():
