@@ -184,7 +184,7 @@ class BGGData:
 
 
 @lru_cache(maxsize=None)
-def bgg_data(m, lam=None):
+def bgg_data(m):
     # the combinatorial data is lam-independent; weights come out of
     # node_weight(word, lam) at use sites
     if m not in _RESOLUTION:

@@ -24,6 +24,10 @@ class MissingWeightSpace(Exception):
     """A windowed module was asked for a weight it never materialized."""
 
 
+class SerreRelationFails(Exception):
+    """The stored lowering matrices break a Serre relation."""
+
+
 def _diag_to_h(diag):
     """Express a traceless diagonal (d_1..d_m) in the h_i basis."""
     assert sum(diag) == 0
@@ -290,9 +294,6 @@ def tensor(a, b, name=None):
         for gb, (mub, _, lb) in enumerate(basis_b):
             labeled.append(((ga, gb), rootdata.add(mua, mub)))
 
-    label_a = {g: basis_a[g][2] for g in range(len(basis_a))}
-    label_b = {g: basis_b[g][2] for g in range(len(basis_b))}
-
     def act(i, lbl):
         ga, gb = lbl
         out = {}
@@ -302,10 +303,8 @@ def tensor(a, b, name=None):
             out[(ga, g2)] = out.get((ga, g2), 0) + c
         return out
 
-    mod = _module_from_action(a.m, labeled, act,
-                              name=name or "(%s)x(%s)" % (a.name, b.name))
-    mod.component_labels = (label_a, label_b)
-    return mod
+    return _module_from_action(a.m, labeled, act,
+                               name=name or "(%s)x(%s)" % (a.name, b.name))
 
 
 def _sorted_with_sign(tup):
@@ -534,7 +533,7 @@ def check_serre(mod):
 
     For |i-j| == 1: f_i^2 f_j - 2 f_i f_j f_i + f_j f_i^2 = 0; for
     |i-j| >= 2 the operators commute.  Returns the number of weight
-    spaces checked; raises AssertionError on failure.
+    spaces checked; raises SerreRelationFails on failure.
     """
     m = mod.m
     checked = 0
@@ -560,13 +559,12 @@ def check_serre(mod):
                 else:
                     combo = [(1, (i, i, j)), (-2, (i, j, i)), (1, (j, i, i))]
                 acc = {}
-                shape = None
                 for coeff, word in combo:
                     mt = word_matrix(word, mu)
-                    shape = (mt.nrows, mt.ncols)
                     for k, v in mt.entries.items():
                         acc[k] = acc.get(k, 0) + coeff * v
-                assert all(v == 0 for v in acc.values()), \
-                    "Serre relation (%d,%d) fails at weight %r" % (i, j, mu)
+                if any(acc.values()):
+                    raise SerreRelationFails(
+                        "Serre relation (%d,%d) fails at weight %r" % (i, j, mu))
                 checked += 1
     return checked

@@ -420,9 +420,8 @@ def _suite_duality(m):
             if partner in seen:
                 continue
             seen.add(pair)
-            a = springer.build_vk_component(m, *pair).module.character()
-            b = springer.build_vk_component(m, *partner).module.character()
-            if a != b:
+            if (springer.quotient_character(m, *pair)
+                    != springer.quotient_character(m, *partner)):
                 return False
     return True
 

@@ -145,10 +145,6 @@ def weyl_group(m):
     return [WeylElement(p) for p in itertools.permutations(range(m))]
 
 
-def dot_action(w, lam):
-    return w.dot(lam)
-
-
 class BruhatEdge:
     """A covering pair w -> w' = t w with l(w') = l(w)+1, t the reflection
     in the positive root eps_a - eps_b."""

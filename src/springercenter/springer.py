@@ -10,6 +10,18 @@ where Delta(s (x) x) = s (x) x  +  sum_t (s u_t) (x) n_t with
 ad(x) = sum_t u_t (x) n_t the coadjoint expansion of the b-action on the
 fiber n.  Gradings: g and b sit in degree 0, n in degree -2, u in +2.
 
+The quotient needs no elimination.  Write Delta(x) = x + y_x for x in
+b, where y_x = sum_t u_t (x) n_t is odd and has no factor in b.  Sending
+each x in b to -y_x is a map of graded-commutative algebras (the y_x
+anticommute and square to zero), and its kernel is the ideal that
+Delta(b) generates.  So V_k^{-2r} is the image of that substitution: its
+basis at each weight is the ambient labels whose g wedge factors all lie
+in u (no H_i and no E_ab with a > b), and an ambient label projects by
+replacing one b factor at a time by -y_x until none is left.  These are
+the non-pivot labels, and the same representatives, that eliminating
+delta_subspace() gives: the inclusion term x ^ omega of each spanning
+vector has the most g factors, so it leads in the ambient_bases order.
+
 Everything is constructed one weight space at a time, since the
 denominator is weight-homogeneous.  A construction can be windowed to a
 set of weights (enough for running a resolution complex over it), or
@@ -20,13 +32,17 @@ BModule suitable for Lie algebra cohomology.
 import itertools
 from functools import lru_cache
 
-from .exactla import SparseMatrix, QuotientMap, kernel_basis
+from .exactla import SparseMatrix, kernel_basis
 from . import rootdata
 from . import bmodule
 from .bmodule import BModule, MissingWeightSpace, bracket, gl_label_weight
 
 
 class WitnessNotInvariant(Exception):
+    pass
+
+
+class WitnessNotUnique(Exception):
     pass
 
 
@@ -131,15 +147,10 @@ def _ambient_params(m, k, r):
     return out
 
 
-_ambient_cache = {}
-
-
+@lru_cache(maxsize=None)
 def ambient_bases(m, k, r):
     """All weight spaces of the ambient sum; dict weight -> list of
     (mono, gset, nset) labels."""
-    key = (m, k, r)
-    if key in _ambient_cache:
-        return _ambient_cache[key]
     out = {}
     for (a, b, p) in _ambient_params(m, k, r):
         wg = _wedge_g_basis(m, a)
@@ -155,7 +166,6 @@ def ambient_bases(m, k, r):
                         for g in gl:
                             for nn in nl:
                                 lst.append((s, g, nn))
-    _ambient_cache[key] = out
     return out
 
 
@@ -260,6 +270,57 @@ def delta_subspace(m, k, r, mu):
     return vectors
 
 
+def _b_position(gset):
+    """Index of the first g wedge factor in b (H_i, or E_ab with a > b),
+    or None.  The quotient basis is the ambient labels where it is None."""
+    for t, x in enumerate(gset):
+        if x[0] == "H" or x[1] > x[2]:
+            return t
+    return None
+
+
+def quotient_character(m, k, r):
+    """Character of V_k^{-2r}, counted off the kept labels without
+    enumerating them or building lowering matrices."""
+    out = {}
+    for (a, b, p) in _ambient_params(m, k, r):
+        wn = _wedge_n_basis(m, b)
+        su = _sym_u_basis(m, p)
+        for mug, gl in _wedge_g_basis(m, a).items():
+            kept = sum(_b_position(g) is None for g in gl)
+            if not kept:
+                continue
+            for mun, nl in wn.items():
+                mugn = rootdata.add(mug, mun)
+                for muu, ul in su.items():
+                    mu = rootdata.add(mugn, muu)
+                    out[mu] = out.get(mu, 0) + kept * len(nl) * len(ul)
+    return out
+
+
+def _substitute(m, label):
+    """Projection of one ambient label to the kept labels, as dict label
+    -> coeff.  Not memoised: a lowering image has at most one b factor,
+    so the build substitutes once per label, and a memo keyed on the
+    nested labels cost more time and peak memory than it saved."""
+    mono, gset, nset = label
+    pos = _b_position(gset)
+    if pos is None:
+        return {label: 1}
+    # Delta(x) ^ rest = (-1)^pos label + sum_t c (-1)^(|rest|+pos_n) label_t
+    x, rest = gset[pos], gset[:pos] + gset[pos + 1:]
+    out = {}
+    for (e_lbl, n_lbl, c) in _ad_n(m)[x]:
+        new_n, pos_n = _insert_sorted(nset, n_lbl)
+        if new_n is None:
+            continue
+        coeff = -c if (pos + len(rest) + pos_n) % 2 == 0 else c
+        sub = (tuple(sorted(mono + (e_lbl,))), rest, new_n)
+        for lbl, v in _substitute(m, sub).items():
+            out[lbl] = out.get(lbl, 0) + coeff * v
+    return {lbl: v for lbl, v in out.items() if v}
+
+
 class VkComponent:
     """The quotient module V_k^{-2r}, weight space by weight space."""
 
@@ -269,18 +330,16 @@ class VkComponent:
         complete = window is None
         window = set(bases) if window is None else set(window)
         self.window = window
-        self._quot = {}
-        self._amb_index = {}
+        self._index = {}
         spaces = {}
         for mu in window:
             amb = bases.get(mu)
             if not amb:
                 continue
-            quot = QuotientMap(len(amb), delta_subspace(m, k, r, mu))
-            self._quot[mu] = quot
-            self._amb_index[mu] = {lbl: j for j, lbl in enumerate(amb)}
-            if quot.kept:
-                spaces[mu] = [amb[c] for c in quot.kept]
+            kept = [lbl for lbl in amb if _b_position(lbl[1]) is None]
+            self._index[mu] = {lbl: j for j, lbl in enumerate(kept)}
+            if kept:
+                spaces[mu] = kept
         lower = {}
         for mu, lbls in spaces.items():
             for i in range(1, m):
@@ -290,7 +349,7 @@ class VkComponent:
                 ent = {}
                 for col, lbl in enumerate(lbls):
                     img = _ambient_act(m, i, lbl)
-                    for q, v in self._project_labels(target, img).items():
+                    for q, v in self.project(target, img).items():
                         ent[(q, col)] = v
                 if ent:
                     lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
@@ -298,21 +357,23 @@ class VkComponent:
                               name="V_%d^{-%d}" % (k, 2 * r),
                               known_weights=window)
 
-    def _project_labels(self, mu, label_vec):
+    def project(self, mu, label_vec):
+        """Project an ambient vector, given as dict label -> coeff, to
+        quotient coordinates at weight mu."""
         if mu not in self.window:
             raise MissingWeightSpace("weight %r outside window" % (mu,))
-        if mu not in self._amb_index:
+        if mu not in self._index:
             if label_vec:
                 raise ValueError("nonzero vector at weight %r, where V_%d^{-%d} has "
                                  "no ambient basis" % (mu, self.k, 2 * self.r))
             return {}
-        idx = self._amb_index[mu]
-        return self._quot[mu].project({idx[lbl]: v for lbl, v in label_vec.items()})
-
-    def project(self, mu, label_vec):
-        """Project an ambient vector, given as dict label -> coeff, to
-        quotient coordinates at weight mu."""
-        return self._project_labels(mu, label_vec)
+        idx = self._index[mu]
+        out = {}
+        for lbl, v in label_vec.items():
+            for kept, c in _substitute(self.m, lbl).items():
+                q = idx[kept]
+                out[q] = out.get(q, 0) + c * v
+        return {q: v for q, v in out.items() if v}
 
 
 def build_vk_component(m, k, r, window=None):
@@ -324,7 +385,8 @@ def trivial_summand_witness(m, k=2, r=1):
 
     Returns (component, lift) where lift is an ambient representative as
     dict label -> coefficient.  Raises WitnessNotInvariant when the joint
-    kernel of the lowering operators on the weight-0 quotient is trivial.
+    kernel of the lowering operators on the weight-0 quotient is trivial,
+    and WitnessNotUnique when it has dimension more than one.
     """
     zero = tuple([0] * (m - 1))
     window = {zero}
@@ -348,7 +410,9 @@ def trivial_summand_witness(m, k=2, r=1):
     if not kern:
         raise WitnessNotInvariant(
             "no b-invariant vector in V_%d^{-%d} at weight 0" % (k, 2 * r))
-    assert len(kern) == 1, "trivial summand of V_%d^{-%d} is not a line" % (k, 2 * r)
+    if len(kern) > 1:
+        raise WitnessNotUnique("b-invariant vectors of V_%d^{-%d} at weight 0 span "
+                               "%d dimensions, not a line" % (k, 2 * r, len(kern)))
     vec = kern[0]
     labels = mod.labels(zero)
     lift = {labels[c]: v for c, v in vec.items()}

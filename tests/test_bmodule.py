@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,9 @@ from springercenter.bmodule import (
     bracket, gl_label_weight, adjoint_g, sub_n, sub_b, quotient_u,
     trivial_module, natural_module, irreducible_module, tensor, wedge,
     sym, direct_sum, dual, quotient, check_serre, BModule,
-    MissingWeightSpace, NotSubmodule,
+    MissingWeightSpace, NotSubmodule, SerreRelationFails,
 )
+import springercenter
 
 
 def all_labels(m):
@@ -186,3 +190,37 @@ def test_incomplete_module_raises_outside_window():
                        {}, complete=False, known_weights={(1, 1)})
     with pytest.raises(MissingWeightSpace):
         windowed.lower_matrix(1, (0, 0))
+
+
+_DOUBLE_ONE_LOWERING = """
+from springercenter.bmodule import adjoint_g
+from springercenter.exactla import SparseMatrix
+mod = adjoint_g(3)
+key = min(mod.lower)
+mat = mod.lower[key]
+mod.lower[key] = SparseMatrix(mat.nrows, mat.ncols,
+                              {rc: 2 * v for rc, v in mat.entries.items()})
+"""
+
+
+def test_check_serre_raises_on_a_doubled_lowering_matrix():
+    # one source builds the broken module here and in the subprocess
+    scope = {}
+    exec(_DOUBLE_ONE_LOWERING, scope)
+    with pytest.raises(SerreRelationFails, match="Serre relation"):
+        check_serre(scope["mod"])
+    # python -O strips asserts; the failure must still be raised
+    code = _DOUBLE_ONE_LOWERING + "\n".join([
+        "import sys",
+        "from springercenter.bmodule import check_serre, SerreRelationFails",
+        "assert False, 'asserts are live'",
+        "try:",
+        "    check_serre(mod)",
+        "except SerreRelationFails:",
+        "    sys.exit(3)",
+    ])
+    src = os.path.dirname(os.path.dirname(springercenter.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from springercenter import rootdata, bgg
+from springercenter import rootdata, bgg, springer
 from springercenter.bmodule import sub_n, check_serre, MissingWeightSpace
+from springercenter.exactla import QuotientMap, SparseMatrix
 from springercenter.springer import (
     duality_partner, ambient_bases, ambient_component, build_vk_component,
-    trivial_summand_witness, WitnessNotInvariant, delta_subspace,
+    quotient_character, trivial_summand_witness, WitnessNotInvariant,
+    WitnessNotUnique, delta_subspace,
 )
 
 
@@ -133,3 +135,73 @@ def test_top_witness_exists():
 def test_missing_witness_raises():
     with pytest.raises(WitnessNotInvariant):
         trivial_summand_witness(2, 1, 1)  # V_1^{-2} = n has no weight 0
+
+
+def test_witness_that_is_not_a_line_raises(monkeypatch):
+    monkeypatch.setattr(springer, "kernel_basis", lambda mat: [{0: 1}, {1: 1}])
+    with pytest.raises(WitnessNotUnique, match="not a line"):
+        trivial_summand_witness(3)
+
+
+def _eliminated_component(m, k, r, window):
+    """V_k^{-2r} the slow way: eliminate the span of delta_subspace at
+    each weight and project lowering images onto the non-pivot labels.
+    Returns (spaces, lowering entries by (i, mu))."""
+    bases = ambient_bases(m, k, r)
+    quots, spaces = {}, {}
+    for mu in window:
+        amb = bases.get(mu)
+        if not amb:
+            continue
+        quots[mu] = QuotientMap(len(amb), delta_subspace(m, k, r, mu))
+        if quots[mu].kept:
+            spaces[mu] = [amb[c] for c in quots[mu].kept]
+    lower = {}
+    for mu, lbls in spaces.items():
+        for i in range(1, m):
+            target = rootdata.sub(mu, rootdata.simple_root(m, i))
+            if target not in window:
+                continue
+            idx = {lbl: j for j, lbl in enumerate(bases.get(target, []))}
+            ent = {}
+            for col, lbl in enumerate(lbls):
+                img = springer._ambient_act(m, i, lbl)
+                if not img:
+                    continue
+                vec = {idx[l]: v for l, v in img.items()}
+                for q, v in quots[target].project(vec).items():
+                    ent[(q, col)] = v
+            if ent:
+                lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent).entries
+    return spaces, lower
+
+
+def _assert_matches_elimination(m, k, r, window=None):
+    comp = build_vk_component(m, k, r, window=window)
+    if window is None:
+        assert quotient_character(m, k, r) == comp.module.character()
+        window = set(ambient_bases(m, k, r))
+    spaces, lower = _eliminated_component(m, k, r, window)
+    assert comp.module.spaces == spaces, (m, k, r)
+    got = {key: mat.entries for key, mat in comp.module.lower.items()}
+    assert got == lower, (m, k, r)
+    for mu in window:
+        amb = ambient_component(m, k, r, mu)
+        for vec in delta_subspace(m, k, r, mu):
+            assert not comp.project(mu, {amb[j]: v for j, v in vec.items()}), (m, k, r, mu)
+
+
+def test_substitution_matches_elimination_at_m2_m3():
+    # the quotient basis is the labels with no b factor in g, and the
+    # projection substitutes Delta(b) away: both must agree with
+    # eliminating the Delta-span, label for label and entry for entry
+    for m in (2, 3):
+        n = m * (m - 1) // 2
+        for k in range(0, 2 * n + 1):
+            for r in range(max(0, k - n), min(k, n) + 1):
+                _assert_matches_elimination(m, k, r)
+
+
+def test_substitution_matches_elimination_at_m4():
+    _assert_matches_elimination(4, 2, 1)
+    _assert_matches_elimination(4, 4, 2, window=bgg.cochain_window(4))
