@@ -173,14 +173,18 @@ class BGGData:
         for length, layer in enumerate(self.nodes):
             for word in layer:
                 w = rootdata.WeylElement.from_word(m, word)
-                assert w.length() == len(word) == length, "word %r is not reduced" % (word,)
-                assert w.perm not in elems, "duplicate node %r" % (word,)
+                if not w.length() == len(word) == length:
+                    raise ValueError("word %r is not reduced" % (word,))
+                if w.perm in elems:
+                    raise ValueError("duplicate node %r" % (word,))
                 elems[w.perm] = word
-        assert len(elems) == len(rootdata.weyl_group(m)), "nodes miss Weyl elements"
+        if len(elems) != len(rootdata.weyl_group(m)):
+            raise ValueError("nodes miss Weyl elements")
         for (w, w2), poly in self.arrows.items():
             drop = poly.weight_drop(m)
             expect = rootdata.sub(self.node_weight(w), self.node_weight(w2))
-            assert drop == expect, "arrow %r -> %r has wrong weight" % (w, w2)
+            if drop != expect:
+                raise ValueError("arrow %r -> %r has wrong weight" % (w, w2))
 
 
 @lru_cache(maxsize=None)
@@ -314,17 +318,23 @@ def diamond_entries(m):
             for i in range(min(j, 2 * n - j) + 1) if (i + j) % 2 == 0]
 
 
-def hodge_entry(m, i, j):
-    """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
-    the tangent sheaf, as a multiplicity of the trivial module."""
+def entry_component(m, i, j):
+    """The (k, r) of the component V_k^{-2r} whose profile holds diamond
+    entry (i, j) in degree i.  The symplectic pairing against the top
+    power folds (i, j) and (i, 2n - j) onto the same k = min(j, 2n - j)."""
     n = m * (m - 1) // 2
     if not (0 <= i <= min(j, 2 * n - j) and (i + j) % 2 == 0):
         raise ValueError("no diamond entry at (%d, %d)" % (i, j))
-    if j > n:
-        j = 2 * n - j  # symplectic pairing against the top power
-    r = (i + j) // 2
+    k = min(j, 2 * n - j)
+    return k, (i + k) // 2
+
+
+def hodge_entry(m, i, j):
+    """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
+    the tangent sheaf, as a multiplicity of the trivial module."""
+    k, r = entry_component(m, i, j)
     window = cochain_window(m)
-    comp = springer.build_vk_component(m, j, r, window=window)
+    comp = springer.build_vk_component(m, k, r, window=window)
     cx = bgg_cochain(comp.module)
     log.info("entry (%d,%d): window %d weights, module dim %d, maps %s",
              i, j, len(window), comp.module.dim,
@@ -332,9 +342,18 @@ def hodge_entry(m, i, j):
     return cx.cohomology_dims()[i]
 
 
+class EntryFailed(Exception):
+    """A pool worker's exception, re-raised with the diamond entry that
+    the worker was computing."""
+
+
 def _entry_task(args):
     m, i, j = args
-    return (i, j), hodge_entry(m, i, j)
+    try:
+        return (i, j), hodge_entry(m, i, j)
+    except Exception as ex:
+        raise EntryFailed("diamond entry (%d, %d) for m = %d failed: %s: %s"
+                          % (i, j, m, type(ex).__name__, ex)) from ex
 
 
 def hodge_diamond(m, jobs=1):

@@ -30,7 +30,8 @@ class SerreRelationFails(Exception):
 
 def _diag_to_h(diag):
     """Express a traceless diagonal (d_1..d_m) in the h_i basis."""
-    assert sum(diag) == 0
+    if sum(diag):
+        raise ValueError("diagonal %r is not traceless" % (diag,))
     out = {}
     acc = 0
     for i in range(len(diag) - 1):
@@ -200,7 +201,9 @@ def _module_from_action(m, labeled, act, name=""):
             ent = {}
             for col, lbl in enumerate(lbls):
                 for out_lbl, c in act(i, lbl).items():
-                    assert weight_of[out_lbl] == target
+                    if weight_of[out_lbl] != target:
+                        raise ValueError("f_%d sends %r to %r, not to weight %r"
+                                         % (i, lbl, out_lbl, target))
                     ent[(index[target][out_lbl], col)] = c
             if ent:
                 lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
@@ -495,7 +498,8 @@ def irreducible_module(m, lam):
     # factor top weights and every factor weight is dominated by its top,
     # so each factor must sit at its top.  Lowering from that line spans L_lam.
     hw_weight = lam
-    assert len(carrier.spaces[hw_weight]) == 1, "carrier top weight space is not a line"
+    if len(carrier.spaces[hw_weight]) != 1:
+        raise ValueError("carrier top weight space is not a line")
 
     reducers = {hw_weight: RowReducer()}
     queue = [(hw_weight, {0: 1})]
@@ -524,7 +528,9 @@ def irreducible_module(m, lam):
             if ent:
                 lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(spaces[mu]), ent)
     mod = BModule(m, spaces, lower, name="L%r" % (lam,))
-    assert mod.dim == rootdata.weyl_dim(lam), "character has wrong dimension"
+    if mod.dim != rootdata.weyl_dim(lam):
+        raise ValueError("L%r has dimension %d, not the Weyl dimension %d"
+                         % (lam, mod.dim, rootdata.weyl_dim(lam)))
     return mod
 
 

@@ -32,7 +32,8 @@ def _structure_constants(m):
             br = bmodule.bracket(m, ("E", b1, a1), ("E", b2, a2))
             terms = {}
             for lbl, c in br.items():
-                assert lbl in index, "bracket of n left n"
+                if lbl not in index:
+                    raise ValueError("bracket of n left n")
                 terms[index[lbl]] = c
             if terms:
                 sc[(i, j)] = terms

@@ -287,14 +287,18 @@ def _render_diamond(m, diamond, fmt, out):
 
 # ----------------------------------------------------------------- subcommands
 
+def _diamond_components(m):
+    """The distinct (k, r) that the diamond entries fold onto, sorted."""
+    return sorted({bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)})
+
+
 def _ce_diamond(m):
-    n = m * (m - 1) // 2
-    out = {}
-    for (i, j) in bgg.diamond_entries(m):
-        k = 2 * n - j if j > n else j
-        mod = springer.build_vk_component(m, k, (i + k) // 2).module
-        out[(i, j)] = ce_oracle.ce_cohomology(mod)[i]
-    return out
+    profiles = {}
+    for k, r in _diamond_components(m):
+        mod = springer.build_vk_component(m, k, r).module
+        profiles[(k, r)] = ce_oracle.ce_cohomology(mod)
+    return {(i, j): profiles[bgg.entry_component(m, i, j)][i]
+            for (i, j) in bgg.diamond_entries(m)}
 
 
 def _compute_diamond(m, method, jobs):
@@ -397,12 +401,9 @@ def cmd_compare_dc(args):
 
 
 def _suite_complex(m):
-    n = m * (m - 1) // 2
     bmodule.check_serre(bmodule.adjoint_g(m))
-    for (i, j) in bgg.diamond_entries(m):
-        k = 2 * n - j if j > n else j
-        comp = springer.build_vk_component(m, k, (i + k) // 2,
-                                           window=bgg.cochain_window(m))
+    for k, r in _diamond_components(m):
+        comp = springer.build_vk_component(m, k, r, window=bgg.cochain_window(m))
         bgg.bgg_cochain(comp.module).check_complex()
     return True
 
@@ -443,13 +444,7 @@ def _suite_sl2(m):
 
 
 def _suite_oracle(m):
-    n = m * (m - 1) // 2
-    # (i, j) and (i, 2n - j) fold to the same component
-    components = set()
-    for (i, j) in bgg.diamond_entries(m):
-        k = 2 * n - j if j > n else j
-        components.add((k, (i + k) // 2))
-    for k, r in sorted(components):
+    for k, r in _diamond_components(m):
         mod = springer.build_vk_component(m, k, r).module
         if bgg.multiplicity(mod) != ce_oracle.ce_cohomology(mod):
             return False
@@ -548,7 +543,7 @@ def main(argv=None):
         return 1
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as ex:
+    except (ParseError, ValueError, bgg.EntryFailed) as ex:
         log.error("%s", ex)
         return 1
 

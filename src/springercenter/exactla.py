@@ -10,6 +10,18 @@ share one elimination kernel, RowReducer: a fraction-free integer
 echelon, exact over Q, which clears denominators once per vector (not
 at all when every value is an int) and works on Python ints after that.
 No floating point anywhere.
+
+Ranks are taken on column images: the rank of d is the rank of the
+vectors d(e_j).  For a complex this allows "clearing", the step of
+persistent homology that skips work known to give zero (Chen-Kerber
+2011, Persistent homology computation with a twist; Bauer-Kerber-
+Reininghaus 2014, Clear and compress).  Let S_t be the pivot columns of
+an echelon basis of im d_{t-1} in C^t.  Then C^t is the direct sum of
+im d_{t-1} and the span of the e_j with j outside S_t, and d_t vanishes
+on im d_{t-1}, so rank d_t is the rank of the d_t(e_j) with j outside
+S_t; the pivots of their echelon are S_{t+1}.  cohomology_dims reduces
+those images only, so the images that reduce to zero number at most
+the total cohomology dimension.
 """
 
 from fractions import Fraction
@@ -19,11 +31,6 @@ from math import gcd, lcm
 
 class NotAComplex(Exception):
     """Raised when consecutive maps of an alleged complex fail d.d == 0."""
-
-
-class InconsistentRanks(Exception):
-    """Raised when the ranks of a complex's maps would make a cohomology
-    dimension negative."""
 
 
 def canonical(v):
@@ -295,11 +302,24 @@ class QuotientMap:
         return not self.reducer.reduce(vec)
 
 
-def rank(mat):
+def _image_reducer(mat, cleared=()):
+    """RowReducer holding the images mat(e_j) of the basis vectors e_j
+    for the columns j not in cleared; its pivots are the leading
+    columns of the span of those images.
+
+    The last column goes first: on the sl4 complexes that takes a third
+    to a half less elimination time than first-column-first order."""
     red = RowReducer()
-    for row in mat.rows():
-        red.add(row)
-    return red.rank
+    cols = mat._columns()
+    for c in sorted(cols, reverse=True):
+        if c not in cleared:
+            it = iter(cols[c])
+            red.add(dict(zip(it, it)))
+    return red
+
+
+def rank(mat):
+    return _image_reducer(mat).rank
 
 
 def kernel_dim(mat):
@@ -349,16 +369,21 @@ class CochainComplex:
                 raise NotAComplex("composite of maps %d and %d is nonzero" % (t, t + 1))
 
     def cohomology_dims(self):
+        """dim H^t for every degree t, with cleared ranks.
+
+        The maps must compose to zero, which is what makes clearing
+        valid, so check_complex runs first.  Walking t upward, rank d_t
+        is taken on the images d_t(e_j) for j outside the pivots S_t of
+        im d_{t-1} (see the module docstring), and their pivots are
+        S_{t+1}.  At most d_t - r_{t-1} images are reduced at degree t,
+        so r_{t-1} + r_t <= d_t holds by construction.
+        """
         self.check_complex()
-        ranks = [rank(mp) for mp in self.maps]
-        out = []
-        for t, d in enumerate(self.dims):
-            rin = ranks[t - 1] if t > 0 else 0
-            rout = ranks[t] if t < len(self.maps) else 0
-            # im d_{t-1} lies in ker d_t, so a rank this large is wrong
-            if rin + rout > d:
-                raise InconsistentRanks(
-                    "ranks %d and %d around degree %d exceed its dimension %d"
-                    % (rin, rout, t, d))
-            out.append(d - rout - rin)
-        return out
+        ranks = [0]
+        cleared = ()
+        for mp in self.maps:
+            red = _image_reducer(mp, cleared)
+            ranks.append(red.rank)
+            cleared = red.echelon
+        ranks.append(0)
+        return [d - ranks[t] - ranks[t + 1] for t, d in enumerate(self.dims)]

@@ -190,7 +190,8 @@ def bwb_classify(lam):
         perm[i] = rank_pos
     w = WeylElement(perm)
     mu = w.dot(lam)
-    assert is_dominant(mu)
+    if not is_dominant(mu):
+        raise ValueError("w.lam = %r is not dominant" % (mu,))
     return ("regular", w, mu)
 
 
@@ -207,7 +208,8 @@ def weyl_dim(lam):
         num *= v[a] - v[b]
         den *= r[a] - r[b]
     d = Fraction(num, den)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ValueError("Weyl dimension of %r is not an integer: %s" % (lam, d))
     return int(d)
 
 

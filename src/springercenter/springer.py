@@ -101,7 +101,8 @@ def _ad_n(m):
         for f in _n_labels(m):
             e = ("E", f[2], f[1])
             for nl, c in bmodule.bracket(m, x, f).items():
-                assert nl[0] == "E" and nl[1] > nl[2]
+                if not (nl[0] == "E" and nl[1] > nl[2]):
+                    raise ValueError("[%r, %r] left n" % (x, f))
                 terms.append((e, nl, c))
         out[x] = terms
     return out

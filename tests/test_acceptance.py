@@ -88,10 +88,8 @@ def test_criterion_4_bundle_decompositions():
 def test_criterion_5_oracle_equivalence():
     ok = True
     for m in (2, 3):
-        n = m * (m - 1) // 2
         for (i, j) in bgg.diamond_entries(m):
-            k = j if j <= n else 2 * n - j
-            r = (i + k) // 2 if j > n else (i + j) // 2
+            k, r = bgg.entry_component(m, i, j)
             mod = springer.build_vk_component(m, k, r).module
             ok = ok and bgg.multiplicity(mod) == ce_oracle.ce_cohomology(mod)
     for (i, j) in [(1, 1), (0, 2), (1, 3), (2, 2)]:
@@ -117,10 +115,8 @@ def test_criterion_7_structural_invariants():
     ok = True
     # differentials square to zero on every assembled complex
     for m in (2, 3):
-        n = m * (m - 1) // 2
         for (i, j) in bgg.diamond_entries(m):
-            k = 2 * n - j if j > n else j
-            r = (i + k) // 2
+            k, r = bgg.entry_component(m, i, j)
             comp = springer.build_vk_component(m, k, r,
                                                window=bgg.cochain_window(m))
             cx = bgg.bgg_cochain(comp.module)

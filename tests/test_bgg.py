@@ -129,6 +129,27 @@ def test_parallel_diamond_matches_serial():
     assert hodge_diamond(3, jobs=2) == hodge_diamond(3)
 
 
+def test_entries_fold_onto_one_component_across_the_middle():
+    assert bgg.entry_component(3, 1, 5) == bgg.entry_component(3, 1, 1) == (1, 1)
+    assert bgg.entry_component(3, 0, 4) == bgg.entry_component(3, 0, 2) == (2, 1)
+    with pytest.raises(ValueError, match="no diamond entry"):
+        bgg.entry_component(3, 0, 1)
+
+
+def test_parallel_failure_names_its_entry(monkeypatch):
+    real = bgg.hodge_entry
+
+    def failing(m, i, j):
+        if (i, j) == (1, 3):
+            raise ZeroDivisionError("boom")
+        return real(m, i, j)
+
+    # pool workers fork after the patch, so they run it too
+    monkeypatch.setattr(bgg, "hodge_entry", failing)
+    with pytest.raises(bgg.EntryFailed, match=r"entry \(1, 3\).*ZeroDivisionError: boom"):
+        hodge_diamond(3, jobs=2)
+
+
 def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):
     mod = trivial_module(3)
     real = mod.apply_lowering_polynomial

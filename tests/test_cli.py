@@ -181,6 +181,25 @@ def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
     assert sorted(built) == sorted(want)
 
 
+def test_ce_diamond_builds_each_component_once(monkeypatch, capsys):
+    built = []
+    real = springer.build_vk_component
+
+    def counting(m, k, r, window=None):
+        built.append((m, k, r, window))
+        return real(m, k, r, window=window)
+
+    monkeypatch.setattr(springer, "build_vk_component", counting)
+    code, out, _ = run(["diamond", "--m", "3", "--method", "ce", "--no-cache"], capsys)
+    assert code == 0
+    assert out.endswith("total 16\n")
+    # 10 entries, but (i, j) and (i, 6 - j) share one complete component
+    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, None)
+            for (i, j) in bgg.diamond_entries(3)}
+    assert len(want) == 6
+    assert sorted(built) == sorted(want)
+
+
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(["diamond"], capsys)  # missing --m
     assert code == 1
