@@ -18,6 +18,7 @@ mismatch.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -400,7 +401,7 @@ def cmd_compare_dc(args):
     return 0
 
 
-def _suite_complex(m):
+def _suite_complex(m, get_diamond):
     bmodule.check_serre(bmodule.adjoint_g(m))
     for k, r in _diamond_components(m):
         comp = springer.build_vk_component(m, k, r, window=bgg.cochain_window(m))
@@ -408,9 +409,9 @@ def _suite_complex(m):
     return True
 
 
-def _suite_duality(m):
+def _suite_duality(m, get_diamond):
     n = m * (m - 1) // 2
-    diamond = bgg.hodge_diamond(m)
+    diamond = get_diamond()
     if not all(diamond[(i, j)] == diamond[(i, 2 * n - j)] for (i, j) in diamond):
         return False
     seen = set()
@@ -427,9 +428,9 @@ def _suite_duality(m):
     return True
 
 
-def _suite_sl2(m):
+def _suite_sl2(m, get_diamond):
     n = m * (m - 1) // 2
-    diamond = bgg.hodge_diamond(m)
+    diamond = get_diamond()
     poin = rootdata.poincare_polynomial(m)
     if [diamond[(i, i)] for i in range(n + 1)] != poin:
         return False
@@ -443,7 +444,7 @@ def _suite_sl2(m):
                if (i, n - d) in diamond)
 
 
-def _suite_oracle(m):
+def _suite_oracle(m, get_diamond):
     for k, r in _diamond_components(m):
         mod = springer.build_vk_component(m, k, r).module
         if bgg.multiplicity(mod) != ce_oracle.ce_cohomology(mod):
@@ -451,7 +452,7 @@ def _suite_oracle(m):
     return True
 
 
-def _suite_bwb(m):
+def _suite_bwb(m, get_diamond):
     import random
     rng = random.Random(97)
     for _ in range(200):
@@ -473,13 +474,18 @@ _SUITES = [("complex", _suite_complex), ("duality", _suite_duality),
 
 
 def cmd_verify(args):
+    # suites that read the diamond share one computation per run
+    @functools.cache
+    def get_diamond():
+        return bgg.hodge_diamond(args.m)
+
     failures = 0
     for name, fn in _SUITES:
         if args.suite not in ("all", name):
             continue
         t0 = time.monotonic()
         try:
-            ok = fn(args.m)
+            ok = fn(args.m, get_diamond)
         except Exception as ex:  # a failed invariant, not a usage error
             log.error("suite %s crashed: %s", name, ex)
             ok = False

@@ -7,6 +7,16 @@ the number of monomials minus the rank of the generator multiples
 landing in that slice.  The ideal absorbs multiplication, so once a
 whole total-degree shell vanishes everything above it does too; tables
 are computed shell by shell until that happens.
+
+The multiples enter the elimination sorted by their leading (smallest)
+column, largest first.  A new row then meets pivots that mostly lie
+beyond its own leading column, so clearing it touches few of them and
+the echelon fills in less.  The rank does not depend on the order in
+which rows are added, so neither does any dimension.
+
+pf_table is an independent check that uses no linear algebra: the
+Hilbert series of DC_m as a sum over parking functions (Haiman 2002;
+Haglund-Loehr 2005; the shuffle theorem, Carlsson-Mellit 2018).
 """
 
 import functools
@@ -15,20 +25,22 @@ import itertools
 from .exactla import RowReducer
 
 
+@functools.lru_cache(maxsize=None)
 def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
+    """All tuples of `parts` nonnegative ints summing to `total`, as a
+    tuple in lexicographic order."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple((first,) + rest
+                 for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
 
 
 def _slice_dim(ncols, rows):
+    """ncols minus the rank of the sparse rows, eliminated last leading
+    column first."""
     red = RowReducer()
-    for row in rows:
+    for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
         if red.add(row) and red.rank == ncols:
             return 0
     return ncols - red.rank
@@ -80,6 +92,41 @@ def _dc_table(m):
 
 def dc_total(m):
     return sum(dc_table(m).values())
+
+
+def _area_vectors(m):
+    """Area sequences of the Dyck paths of size m >= 1: a_1 = 0 and
+    0 <= a_{i+1} <= a_i + 1."""
+    out = [(0,)]
+    for _ in range(m - 1):
+        out = [a + (b,) for a in out for b in range(a[-1] + 2)]
+    return out
+
+
+def pf_table(m):
+    """The bigraded Hilbert series of DC_m, dict (dinv, area) -> count,
+    summed over parking functions; equals dc_table(m).
+
+    A parking function is an area sequence a with labels l, a
+    permutation of range(m) that increases along every rise
+    (a_{i+1} = a_i + 1).  Its area is sum(a) and its dinv counts the
+    pairs i < j with a_i = a_j and l_i < l_j, or with a_i = a_j + 1 and
+    l_i > l_j.
+    """
+    out = {}
+    for a in _area_vectors(m):
+        rises = [i for i in range(m - 1) if a[i + 1] == a[i] + 1]
+        level = [(i, j) for i, j in itertools.combinations(range(m), 2) if a[i] == a[j]]
+        step = [(i, j) for i, j in itertools.combinations(range(m), 2) if a[i] == a[j] + 1]
+        area = sum(a)
+        for l in itertools.permutations(range(m)):
+            if any(l[i] > l[i + 1] for i in rises):
+                continue
+            dinv = (sum(l[i] < l[j] for i, j in level)
+                    + sum(l[i] > l[j] for i, j in step))
+            key = (dinv, area)
+            out[key] = out.get(key, 0) + 1
+    return out
 
 
 def coinvariant_table(m):

@@ -148,7 +148,10 @@ def _ambient_params(m, k, r):
     return out
 
 
-@lru_cache(maxsize=None)
+# Bounded: a diamond builds each (k, r) once, so an unbounded cache only
+# holds memory.  delta_subspace reads at most n + 2 keys per weight, and
+# 8 keeps those reads hitting for m <= 4.
+@lru_cache(maxsize=8)
 def ambient_bases(m, k, r):
     """All weight spaces of the ambient sum; dict weight -> list of
     (mono, gset, nset) labels."""

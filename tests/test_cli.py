@@ -161,6 +161,25 @@ def test_verify_single_suite(tmp_path, monkeypatch, capsys):
     assert out.count("PASS") == 1
 
 
+def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
+    # the duality and sl2 suites both read the diamond; it is computed
+    # once per run, and hodge_diamond computes each direct entry once
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    computed = []
+    real = bgg.hodge_entry
+
+    def counting(m, i, j):
+        computed.append((m, i, j))
+        return real(m, i, j)
+
+    monkeypatch.setattr(bgg, "hodge_entry", counting)
+    code, out, _ = run(["verify", "--m", "3"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {(3, i, j) for (i, j) in bgg.diamond_entries(3) if j <= 3}
+
+
 def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
     built = []
     real = springer.build_vk_component

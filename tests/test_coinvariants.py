@@ -1,10 +1,12 @@
 import itertools
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from springercenter.rootdata import poincare_polynomial
 from springercenter.coinvariants import (
     dc_entry, dc_table, dc_total, coinvariant_table, expected_diamond_from_dc,
+    pf_table, _slice_dim,
 )
 from springercenter.bgg import hodge_diamond
 
@@ -85,3 +87,39 @@ def test_single_set_specialization_gives_coinvariant_series():
 def test_predicted_diamond_matches_computed_diamond():
     for m in (2, 3):
         assert expected_diamond_from_dc(m) == hodge_diamond(m)
+
+
+def test_parking_function_series_matches_slice_elimination():
+    for m in (2, 3, 4):
+        assert pf_table(m) == dc_table(m)
+
+
+def test_parking_function_series_at_m5():
+    table = pf_table(5)
+    assert sum(table.values()) == 6 ** 4
+    assert dc_entry(5, 3, 3) == table[(3, 3)] == 58
+    assert dc_entry(5, 4, 2) == table[(4, 2)] == 54
+
+
+@st.composite
+def slices(draw):
+    """(ncols, rows): small integer rows over ncols columns.  Half the
+    draws add every unit vector and a second copy of e_0, so the rank
+    reaches ncols before the last row and _slice_dim exits early."""
+    ncols = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3),
+                          max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    if draw(st.booleans()):
+        rows += [{c: 1} for c in range(ncols)] + [{0: 1}]
+    return ncols, rows
+
+
+@given(slices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_slice_dim_is_corank_under_any_row_order(slice_, data):
+    ncols, rows = slice_
+    rows = data.draw(st.permutations(rows))
+    dense = sp.Matrix(len(rows), ncols, lambda r, c: rows[r].get(c, 0))
+    rank = dense.rank() if rows else 0
+    assert _slice_dim(ncols, rows) == ncols - rank
