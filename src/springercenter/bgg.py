@@ -8,7 +8,10 @@ the cohomology of the associated sheaf is the cohomology of
 where the differentials act by lowering operators.  The maps between
 terms come from explicit matrices over U(n) acting on the free modules
 by right multiplication; on weight spaces they act by the word-reversed
-elements (dualization is an anti-homomorphism on words).
+elements (dualization is an anti-homomorphism on words).  Each block
+of a differential is assembled as a sum of products of the module's
+lowering matrices along the words, memoised by word prefix with one
+memo per source node.
 
 The matrices for the zero weight are hardcoded below for m = 2, 3, 4.
 Node names are reduced words in the simple reflections.  The data is
@@ -219,6 +222,10 @@ def bgg_cochain(e, lam=None):
 
     lam must be the zero weight (the hardcoded matrices are for the
     resolution of the trivial module); use multiplicity() for general lam.
+    The block of an arrow w -> w2 sums coeff times the product of the
+    lowering matrices along each word.  Prefix products are shared only
+    by words from one node, since distinct nodes have distinct weights,
+    so the memo is dropped once the node's arrows are placed.
     """
     m = e.m
     zero = tuple([0] * (m - 1))
@@ -240,23 +247,36 @@ def bgg_cochain(e, lam=None):
     maps = []
     for t in range(len(data.nodes) - 1):
         ent = {}
+        get = ent.get
         for w in data.nodes[t]:
             mu = node_wt[w]
-            d = e.weight_dim(mu)
-            if not d:
+            if not e.weight_dim(mu):
                 continue
+            col0 = offsets[t][w]
+            # word prefix -> (weight reached, product of lowering matrices)
+            memo = {}
             for w2 in data.nodes[t + 1]:
                 poly = data.arrows.get((w, w2))
                 if poly is None:
                     continue
-                for col in range(d):
-                    tgt, vec = e.apply_lowering_polynomial(poly, mu, {col: 1})
+                row0 = offsets[t + 1][w2]
+                for coeff, word in poly.terms:
+                    tgt, prod = mu, None
+                    for n in range(1, len(word) + 1):
+                        got = memo.get(word[:n])
+                        if got is None:
+                            i = word[n - 1]
+                            low = e.lower_matrix(i, tgt)
+                            got = memo[word[:n]] = (
+                                rootdata.sub(tgt, rootdata.simple_root(m, i)),
+                                low if prod is None else low.matmul(prod))
+                        tgt, prod = got
                     if tgt != node_wt[w2]:
                         raise ValueError("arrow %r -> %r lands at weight %r, not %r"
                                          % (w, w2, tgt, node_wt[w2]))
-                    for row, v in vec.items():
-                        key = (offsets[t + 1][w2] + row, offsets[t][w] + col)
-                        ent[key] = ent.get(key, 0) + v
+                    for (r, c), v in prod.entries.items():
+                        key = (row0 + r, col0 + c)
+                        ent[key] = get(key, 0) + coeff * v
         maps.append(SparseMatrix(dims[t + 1], dims[t], ent))
     return CochainComplex(dims, maps)
 
@@ -265,11 +285,9 @@ def multiplicity(e, lam=None):
     """Multiplicity profile of L_lam in the sheaf cohomology of e, one
     entry per cohomological degree.
 
-    For lam = 0 this runs the full hardcoded complex.  For nonzero
-    dominant lam the first map is f_i^(lam_i + 1) into the simple
-    reflection terms; when weight spaces deeper in the order vanish this
-    truncated complex already computes everything, otherwise the
-    computation falls back to the Lie algebra cohomology route.
+    For lam = 0 this runs the full hardcoded complex.  The matrices cover
+    only the zero weight, so a nonzero dominant lam goes to the Lie
+    algebra cohomology route.
     """
     m = e.m
     zero = tuple([0] * (m - 1))
@@ -277,39 +295,8 @@ def multiplicity(e, lam=None):
         return bgg_cochain(e).cohomology_dims()
     if not rootdata.is_dominant(lam):
         raise ValueError("lam must be dominant")
-    data = bgg_data(m)
-    deep = 0
-    for layer in data.nodes[2:]:
-        for word in layer:
-            deep += e.weight_dim(data.node_weight(word, lam))
-    if deep:
-        from . import ce_oracle
-        return ce_oracle.ce_cohomology(e, lam)
-    dims = [e.weight_dim(lam)]
-    off = {}
-    total = 0
-    for word in data.nodes[1]:
-        off[word] = total
-        total += e.weight_dim(data.node_weight(word, lam))
-    dims.append(total)
-    ent = {}
-    for word in data.nodes[1]:
-        i = word[0]
-        power = lam[i - 1] + 1
-        mu2 = data.node_weight(word, lam)
-        for col in range(dims[0]):
-            tgt, vec = e.apply_word((i,) * power, lam, {col: 1})
-            if tgt != mu2:
-                raise ValueError("f_%d^%d lands at weight %r, not %r"
-                                 % (i, power, tgt, mu2))
-            for row, v in vec.items():
-                ent[(off[word] + row, col)] = v
-    maps = [SparseMatrix(dims[1], dims[0], ent)]
-    length = m * (m - 1) // 2
-    while len(dims) < length + 1:
-        maps.append(SparseMatrix(0, dims[-1]))
-        dims.append(0)
-    return CochainComplex(dims, maps).cohomology_dims()
+    from . import ce_oracle
+    return ce_oracle.ce_cohomology(e, lam)
 
 
 def diamond_entries(m):

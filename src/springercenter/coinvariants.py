@@ -159,10 +159,10 @@ def coinvariant_table(m):
 def expected_diamond_from_dc(m):
     """The diamond predicted by the diagonal coinvariants: the (i, j)
     entry reads off the DC_m dimension in bidegree
-    (m(m-1)/2 - (i+j)/2, (j-i)/2)."""
+    (m(m-1)/2 - (i+j)/2, (j-i)/2), from the parking-function series."""
     from .bgg import diamond_entries
     n = m * (m - 1) // 2
-    table = dc_table(m)
+    table = pf_table(m)
     out = {}
     for (i, j) in diamond_entries(m):
         out[(i, j)] = table.get((n - (i + j) // 2, (j - i) // 2), 0)

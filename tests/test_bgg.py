@@ -151,29 +151,120 @@ def test_parallel_failure_names_its_entry(monkeypatch):
 
 
 def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):
-    mod = trivial_module(3)
-    real = mod.apply_lowering_polynomial
-
-    def shifted(poly, mu, vec):
-        tgt, img = real(poly, mu, vec)
-        return rootdata.add(tgt, (1, 0)), img
-
-    monkeypatch.setattr(mod, "apply_lowering_polynomial", shifted)
+    # validated data whose arrow () -> (1,) is swapped afterwards for f_2,
+    # which drops by alpha_2 instead of alpha_1
+    data = bgg.BGGData(3, bgg._RESOLUTION[3])
+    data.arrows[((), (1,))] = bgg.LoweringPolynomial([(1, (2,))])
+    monkeypatch.setattr(bgg, "bgg_data", lambda m: data)
     with pytest.raises(ValueError, match="lands at weight"):
-        bgg_cochain(mod)
+        bgg_cochain(trivial_module(3))
 
 
-def test_truncated_map_landing_at_the_wrong_weight_raises(monkeypatch):
-    mod = quotient_u(3)
-    real = mod.apply_word
+def test_validation_rejects_an_arrow_with_the_wrong_weight_drop():
+    res = dict(bgg._RESOLUTION[3])
+    res[((), (1,))] = [(1, (2,))]
+    with pytest.raises(ValueError, match="wrong weight"):
+        bgg.BGGData(3, res)
 
-    def shifted(word, mu, vec):
-        tgt, img = real(word, mu, vec)
-        return rootdata.add(tgt, (1, 0)), img
 
-    monkeypatch.setattr(mod, "apply_word", shifted)
-    with pytest.raises(ValueError, match="lands at weight"):
-        multiplicity(mod, (1, 1))
+def test_validation_rejects_a_word_that_is_not_reduced():
+    # node (1, 2) renamed (2, 2): length 2, but s_2 s_2 is the identity
+    def rename(w):
+        return (2, 2) if w == (1, 2) else w
+
+    res = {(rename(w), rename(w2)): terms
+           for (w, w2), terms in bgg._RESOLUTION[3].items()}
+    with pytest.raises(ValueError, match="not reduced"):
+        bgg.BGGData(3, res)
+
+
+def test_validation_rejects_a_missing_node():
+    res = {pair: terms for pair, terms in bgg._RESOLUTION[3].items()
+           if pair[1] != (1, 2, 1)}
+    with pytest.raises(ValueError, match="miss Weyl"):
+        bgg.BGGData(3, res)
+
+
+def _reference_cochain(e):
+    """bgg_cochain assembled column by column, one unit vector at a time
+    through apply_lowering_polynomial."""
+    data = bgg_data(e.m)
+    offsets, dims = [], []
+    for layer in data.nodes:
+        off, total = {}, 0
+        for word in layer:
+            off[word] = total
+            total += e.weight_dim(data.node_weight(word))
+        offsets.append(off)
+        dims.append(total)
+    maps = []
+    for t in range(len(data.nodes) - 1):
+        ent = {}
+        for (w, w2), poly in data.arrows.items():
+            if len(w) != t:
+                continue
+            mu = data.node_weight(w)
+            for col in range(e.weight_dim(mu)):
+                tgt, vec = e.apply_lowering_polynomial(poly, mu, {col: 1})
+                assert tgt == data.node_weight(w2)
+                for row, v in vec.items():
+                    key = (offsets[t + 1][w2] + row, offsets[t][w] + col)
+                    ent[key] = ent.get(key, 0) + v
+        maps.append((dims[t + 1], dims[t], {k: v for k, v in ent.items() if v}))
+    return dims, maps
+
+
+def _assert_matches_reference(e):
+    cx = bgg_cochain(e)
+    dims, maps = _reference_cochain(e)
+    assert cx.dims == dims
+    assert [(mp.nrows, mp.ncols, mp.entries) for mp in cx.maps] == maps
+    for mp in cx.maps:
+        assert all(type(v) is int for v in mp.entries.values())
+
+
+def test_word_product_assembly_matches_column_by_column_at_m3():
+    for k in range(7):
+        for r in range(max(0, k - 3), min(k, 3) + 1):
+            _assert_matches_reference(springer.build_vk_component(3, k, r).module)
+            comp = springer.build_vk_component(3, k, r, window=cochain_window(3))
+            _assert_matches_reference(comp.module)
+
+
+def test_word_product_assembly_matches_column_by_column_at_m4():
+    # the three largest windowed sl4 components
+    window = cochain_window(4)
+    for k, r in [(6, 3), (4, 2), (5, 3)]:
+        _assert_matches_reference(springer.build_vk_component(4, k, r, window=window).module)
+
+
+def _euler_from_character(m, k, r):
+    """sum over w of (-1)^l(w) dim V_k^{-2r}[w.0], with no elimination."""
+    char = springer.quotient_character(m, k, r)
+    zero = tuple([0] * (m - 1))
+    return sum((-1) ** w.length() * char.get(w.dot(zero), 0)
+               for w in rootdata.weyl_group(m))
+
+
+def _euler(profile):
+    return sum((-1) ** i * h for i, h in enumerate(profile))
+
+
+def test_euler_identity_on_sl3_profiles_of_both_routes():
+    from springercenter.ce_oracle import ce_cohomology
+    for k in range(7):
+        for r in range(max(0, k - 3), min(k, 3) + 1):
+            mod = springer.build_vk_component(3, k, r).module
+            want = _euler_from_character(3, k, r)
+            assert _euler(ce_cohomology(mod)) == want
+            assert _euler(multiplicity(mod)) == want
+
+
+def test_euler_identity_on_sl4_ce_profiles():
+    from springercenter.ce_oracle import ce_cohomology
+    for k, r in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 4), (6, 4)]:
+        mod = springer.build_vk_component(4, k, r).module
+        assert _euler(ce_cohomology(mod)) == _euler_from_character(4, k, r)
 
 
 def test_both_routes_run_with_asserts_stripped():

@@ -180,6 +180,27 @@ def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
     assert set(computed) == {(3, i, j) for (i, j) in bgg.diamond_entries(3) if j <= 3}
 
 
+def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
+    # the complex suite reuses the shared diamond instead of rebuilding
+    # the windowed components that hodge_entry builds
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    built = []
+    real = springer.build_vk_component
+
+    def counting(m, k, r, window=None):
+        built.append((m, k, r, None if window is None else frozenset(window)))
+        return real(m, k, r, window=window)
+
+    monkeypatch.setattr(springer, "build_vk_component", counting)
+    code, out, _ = run(["verify", "--m", "3"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert len(built) == len(set(built))
+    window = frozenset(bgg.cochain_window(3))
+    assert {b for b in built if b[3] == window} == {
+        (3, k, r, window) for (k, r) in cli._diamond_components(3)}
+
+
 def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
     built = []
     real = springer.build_vk_component
