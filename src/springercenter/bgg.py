@@ -13,16 +13,19 @@ of a differential is assembled as a sum of products of the module's
 lowering matrices along the words, memoised by word prefix with one
 memo per source node.
 
-The matrices for the zero weight are hardcoded below for m = 2, 3, 4.
-Node names are reduced words in the simple reflections.  The data is
-validated structurally: reduced words, full Weyl group coverage, weight
+The resolution of the trivial module is generated for every m: nodes are
+reduced words of Weyl group elements, and the arrow of a Bruhat cover
+w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
+weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  The data
+is validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
 """
 
 import logging
 from functools import lru_cache
+from math import gcd, lcm
 
-from .exactla import SparseMatrix, CochainComplex, canonical
+from .exactla import SparseMatrix, CochainComplex, QuotientMap, canonical, kernel_basis
 from . import rootdata, springer
 
 log = logging.getLogger(__name__)
@@ -52,100 +55,96 @@ class LoweringPolynomial:
         return "LoweringPolynomial(%r)" % (self.terms,)
 
 
-# Right-multiplication matrices of the resolution of the trivial module,
-# as pairs (shorter word, longer word) -> terms.  Single letters denote
-# generator subscripts, so (2, (1, 2)) stands for 2 f_1 f_2.
-_RESOLUTION = {
-    2: {
-        ((), (1,)): [(1, (1,))],
-    },
-    3: {
-        ((), (1,)): [(1, (1,))],
-        ((), (2,)): [(1, (2,))],
-        ((1,), (2, 1)): [(1, (2, 2))],
-        ((1,), (1, 2)): [(-2, (1, 2)), (1, (2, 1))],
-        ((2,), (1, 2)): [(1, (1, 1))],
-        ((2,), (2, 1)): [(-2, (2, 1)), (1, (1, 2))],
-        ((2, 1), (1, 2, 1)): [(1, (1,))],
-        ((1, 2), (1, 2, 1)): [(1, (2,))],
-    },
-    4: {
-        # length 0 -> 1
-        ((), (1,)): [(1, (1,))],
-        ((), (2,)): [(1, (2,))],
-        ((), (3,)): [(1, (3,))],
-        # length 1 -> 2
-        ((1,), (2, 1)): [(-1, (2, 2))],
-        ((1,), (1, 2)): [(2, (1, 2)), (-1, (2, 1))],
-        ((1,), (3, 1)): [(-1, (3,))],
-        ((2,), (2, 1)): [(2, (2, 1)), (-1, (1, 2))],
-        ((2,), (1, 2)): [(-1, (1, 1))],
-        ((2,), (3, 2)): [(1, (3, 3))],
-        ((2,), (2, 3)): [(1, (3, 2)), (-2, (2, 3))],
-        ((3,), (3, 1)): [(1, (1,))],
-        ((3,), (3, 2)): [(1, (2, 3)), (-2, (3, 2))],
-        ((3,), (2, 3)): [(1, (2, 2))],
-        # length 2 -> 3
-        ((2, 1), (1, 2, 1)): [(-1, (1,))],
-        ((2, 1), (3, 2, 1)): [(1, (3, 3, 3))],
-        ((2, 1), (2, 3, 1)): [(3, (2, 3)), (-2, (3, 2))],
-        ((1, 2), (1, 2, 1)): [(-1, (2,))],
-        ((1, 2), (3, 1, 2)): [(1, (3, 3))],
-        ((1, 2), (1, 2, 3)): [(6, (1, 2, 3)), (-4, (2, 1, 3)),
-                              (-3, (1, 3, 2)), (2, (3, 2, 1))],
-        ((3, 1), (3, 2, 1)): [(-1, (3, 3, 2, 2)), (-4, (3, 2, 3, 2)),
-                              (-2, (2, 3, 2, 3)), (6, (3, 2, 2, 3))],
-        ((3, 1), (2, 3, 1)): [(-1, (2, 2, 2))],
-        ((3, 1), (3, 1, 2)): [(4, (1, 3, 2)), (-2, (3, 2, 1)),
-                              (-2, (1, 2, 3)), (1, (2, 3, 1))],
-        ((3, 1), (1, 2, 3)): [(1, (1, 1, 2, 2)), (4, (1, 2, 1, 2)),
-                              (2, (2, 1, 2, 1)), (-6, (1, 2, 2, 1))],
-        ((3, 2), (3, 2, 1)): [(-6, (3, 2, 1)), (4, (2, 1, 3)),
-                              (3, (1, 3, 2)), (-2, (1, 2, 3))],
-        ((3, 2), (3, 1, 2)): [(1, (1, 1))],
-        ((3, 2), (2, 3, 2)): [(1, (2,))],
-        ((2, 3), (2, 3, 1)): [(3, (2, 1)), (-2, (1, 2))],
-        ((2, 3), (1, 2, 3)): [(-1, (1, 1, 1))],
-        ((2, 3), (2, 3, 2)): [(1, (3,))],
-        # length 3 -> 4
-        ((1, 2, 1), (1, 3, 2, 1)): [(-1, (3, 3, 3))],
-        ((1, 2, 1), (1, 2, 3, 1)): [(6, (1, 2, 3)), (-4, (1, 3, 2)),
-                                    (-3, (2, 1, 3)), (2, (3, 2, 1))],
-        ((1, 2, 1), (2, 3, 1, 2)): [(1, (2, 2, 3, 3)), (4, (2, 3, 2, 3)),
-                                    (2, (3, 2, 3, 2)), (-6, (2, 3, 3, 2))],
-        ((3, 2, 1), (1, 3, 2, 1)): [(-1, (1,))],
-        ((3, 2, 1), (2, 3, 2, 1)): [(1, (2,))],
-        ((2, 3, 1), (2, 3, 2, 1)): [(-1, (3, 3))],
-        ((2, 3, 1), (1, 2, 3, 1)): [(1, (1, 1))],
-        ((2, 3, 1), (2, 3, 1, 2)): [(4, (2, 1, 3)), (-2, (1, 2, 3)),
-                                    (-2, (3, 2, 1)), (1, (1, 3, 2))],
-        ((3, 1, 2), (1, 3, 2, 1)): [(2, (2, 3)), (-3, (3, 2))],
-        ((3, 1, 2), (2, 3, 1, 2)): [(1, (2, 2, 2))],
-        ((3, 1, 2), (1, 2, 3, 2)): [(2, (2, 1)), (-3, (1, 2))],
-        ((1, 2, 3), (1, 2, 3, 1)): [(1, (2,))],
-        ((1, 2, 3), (1, 2, 3, 2)): [(1, (3,))],
-        ((2, 3, 2), (2, 3, 2, 1)): [(6, (3, 2, 1)), (-4, (1, 3, 2)),
-                                    (-3, (2, 1, 3)), (2, (1, 2, 3))],
-        ((2, 3, 2), (2, 3, 1, 2)): [(-1, (2, 2, 1, 1)), (-4, (2, 1, 2, 1)),
-                                    (-2, (1, 2, 1, 2)), (6, (2, 1, 1, 2))],
-        ((2, 3, 2), (1, 2, 3, 2)): [(1, (1, 1, 1))],
-        # length 4 -> 5
-        ((1, 3, 2, 1), (2, 3, 1, 2, 1)): [(1, (2, 2))],
-        ((1, 3, 2, 1), (1, 2, 3, 2, 1)): [(1, (2, 1)), (-2, (1, 2))],
-        ((2, 3, 2, 1), (2, 3, 1, 2, 1)): [(2, (2, 1)), (-1, (1, 2))],
-        ((2, 3, 2, 1), (1, 2, 3, 2, 1)): [(-1, (1, 1))],
-        ((1, 2, 3, 1), (1, 2, 3, 2, 1)): [(-1, (3, 3))],
-        ((1, 2, 3, 1), (2, 1, 2, 3, 2)): [(1, (3, 2)), (-2, (2, 3))],
-        ((2, 3, 1, 2), (2, 3, 1, 2, 1)): [(1, (3,))],
-        ((2, 3, 1, 2), (2, 1, 2, 3, 2)): [(1, (1,))],
-        ((1, 2, 3, 2), (1, 2, 3, 2, 1)): [(2, (3, 2)), (-1, (2, 3))],
-        ((1, 2, 3, 2), (2, 1, 2, 3, 2)): [(1, (2, 2))],
-        # length 5 -> 6
-        ((2, 3, 1, 2, 1), (1, 2, 3, 1, 2, 1)): [(-1, (1,))],
-        ((1, 2, 3, 2, 1), (1, 2, 3, 1, 2, 1)): [(-1, (2,))],
-        ((2, 1, 2, 3, 2), (1, 2, 3, 1, 2, 1)): [(1, (3,))],
-    },
-}
+class _Enveloping:
+    """Weight spaces of U(n^-), words in the f_i read as products modulo
+    the two-sided Serre ideal, keyed by the tuple of letter counts."""
+
+    def __init__(self, m):
+        self.m, self._spaces = m, {}
+        self.relations = [[(1, (i, i, j)), (-2, (i, j, i)), (1, (j, i, i))]
+                          if abs(i - j) == 1 else [(1, (i, j)), (-1, (j, i))]
+                          for i in range(1, m) for j in range(max(i - 1, 1), m) if j != i]
+
+    def space(self, counts):
+        """(words in lexicographic order, word -> column, QuotientMap by the
+        ideal: each relation times every word, and f_i times the ideal)."""
+        if counts not in self._spaces:
+            lower = [(i, self.space(counts[:i - 1] + (counts[i - 1] - 1,) + counts[i:]))
+                     for i in range(1, self.m) if counts[i - 1]]
+            words = [(i,) + w for i, (ws, _, _) in lower for w in ws] or [()]
+            index = {w: c for c, w in enumerate(words)}
+            vectors = [{index[(i,) + ws[c]]: v for c, v in row.items()}
+                       for i, (ws, _, quo) in lower for row in quo.reducer.echelon.values()]
+            for rel in self.relations:
+                rest = tuple(n - rel[0][1].count(i + 1) for i, n in enumerate(counts))
+                if min(rest) >= 0:
+                    vectors += [{index[s + w]: c for c, s in rel} for w in self.space(rest)[0]]
+            self._spaces[counts] = (words, index, QuotientMap(len(words), vectors))
+        return self._spaces[counts]
+
+    def line(self, columns):
+        """Coprime integers x with sum over col of x[col] columns[col][key]
+        in the ideal for every key, or None unless they form one line."""
+        rows = {}
+        for col, combos in enumerate(columns):
+            for key, terms in combos.items():
+                _, index, quo = self.space(tuple(terms[0][1].count(i) for i in range(1, self.m)))
+                vec = {}
+                for c, w in terms:
+                    vec[index[w]] = vec.get(index[w], 0) + c
+                for r, v in quo.reducer.reduce(vec).items():
+                    rows.setdefault((key, r), {})[col] = v
+        kernel = kernel_basis(SparseMatrix.from_rows(list(rows.values()), len(columns)))
+        if len(kernel) != 1:
+            return None
+        den = lcm(*[v.denominator for v in kernel[0].values()])
+        g = gcd(*[int(v * den) for v in kernel[0].values()])
+        return {c: int(v * den) // g for c, v in kernel[0].items()}
+
+    def singular(self, mu, counts):
+        """The u of weight `counts` with u v_mu singular in M(mu), on the kept
+        words.  As [e_j, f_i] = delta_ij h_j, e_j f_{i_1} ... f_{i_h} v_mu sums
+        over i_p = j the word without f_{i_p} times <mu - sum_{q>p} alpha_{i_q}, alpha_j^vee>."""
+        words, _, quo = self.space(counts)
+        kept = [words[c] for c in quo.kept]
+        columns = [{} for _ in kept]
+        for combos, word in zip(columns, kept):
+            for j in set(word):
+                val, combos[j] = mu[j - 1], []
+                for p in range(len(word) - 1, -1, -1):
+                    if word[p] == j:
+                        combos[j].append((val, word[:p] + word[p + 1:]))
+                    val -= rootdata.simple_root(self.m, word[p])[j - 1]
+        line = self.line(columns)
+        if line is None:
+            raise ValueError("M%r has no unique singular line at drop %r" % (mu, counts))
+        return [(line[c], kept[c]) for c in sorted(line)]
+
+
+def _resolution(m):
+    """(shorter, longer) -> [(coeff, product word)] on reduced words, so
+    (2, (1, 2)) is 2 f_1 f_2.  The cover w -> t_alpha w drops the weight by
+    <w(rho), alpha^vee> alpha.  By length, the arrows into each `up` are
+    scaled so that the two paths from each lo two steps below cancel;
+    both are singular of one weight in M(lo.0), so the scalars form a line."""
+    name = {w.perm: w.reduced_word() for w in rootdata.weyl_group(m)}
+    weight = {p: rootdata.WeylElement(p).dot((0,) * (m - 1)) for p in name}
+    env, arrows, into = _Enveloping(m), {}, {}
+    for edge in rootdata.bruhat_graph(m):
+        lo, up = edge.lower.perm, edge.upper.perm
+        (a, b), v = edge.root, rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
+        counts = tuple(v[a] - v[b] if a < i <= b else 0 for i in range(1, m))
+        arrows[lo, up] = env.singular(weight[lo], counts)
+        into.setdefault(up, []).append(lo)
+    for up in sorted(into, key=lambda p: len(name[p])):
+        line = env.line([{lo: [(c * d, v + u) for c, u in arrows[lo, mid]
+                               for d, v in arrows[mid, up]]
+                          for lo in into.get(mid, ())} for mid in into[up]])
+        if line is None or len(line) != len(into[up]):
+            raise ValueError("the paths into %r have no cancelling scalars" % (up,))
+        for col, mid in enumerate(into[up]):
+            arrows[mid, up] = [(line[col] * c, w) for c, w in arrows[mid, up]]
+    return {(name[lo], name[up]): terms for (lo, up), terms in arrows.items()}
 
 
 class BGGData:
@@ -183,9 +182,10 @@ class BGGData:
                 elems[w.perm] = word
         if len(elems) != len(rootdata.weyl_group(m)):
             raise ValueError("nodes miss Weyl elements")
+        weight = {word: self.node_weight(word) for word in elems.values()}
         for (w, w2), poly in self.arrows.items():
             drop = poly.weight_drop(m)
-            expect = rootdata.sub(self.node_weight(w), self.node_weight(w2))
+            expect = rootdata.sub(weight[w], weight[w2])
             if drop != expect:
                 raise ValueError("arrow %r -> %r has wrong weight" % (w, w2))
 
@@ -194,14 +194,13 @@ class BGGData:
 def bgg_data(m):
     # the combinatorial data is lam-independent; weights come out of
     # node_weight(word, lam) at use sites
-    if m not in _RESOLUTION:
-        raise ValueError("resolution matrices are only available for m = 2, 3, 4")
-    return BGGData(m, _RESOLUTION[m])
+    return BGGData(m, _resolution(m))
 
 
+@lru_cache(maxsize=None)
 def cochain_window(m, lam=None):
     """All weights touched while running the complex: node weights plus
-    every intermediate weight along each word of each arrow."""
+    every intermediate weight along each word of each arrow; built once."""
     data = bgg_data(m)
     window = set()
     for layer in data.nodes:
@@ -214,14 +213,14 @@ def cochain_window(m, lam=None):
             for i in word:
                 cur = rootdata.sub(cur, rootdata.simple_root(m, i))
                 window.add(cur)
-    return window
+    return frozenset(window)
 
 
 def bgg_cochain(e, lam=None):
     """The complex of weight spaces of e with the lowering differentials.
 
-    lam must be the zero weight (the hardcoded matrices are for the
-    resolution of the trivial module); use multiplicity() for general lam.
+    lam must be the zero weight, since the generated resolution is that
+    of the trivial module; use multiplicity() for general lam.
     The block of an arrow w -> w2 sums coeff times the product of the
     lowering matrices along each word.  Prefix products are shared only
     by words from one node, since distinct nodes have distinct weights,
@@ -230,7 +229,7 @@ def bgg_cochain(e, lam=None):
     m = e.m
     zero = tuple([0] * (m - 1))
     if lam is not None and lam != zero:
-        raise ValueError("explicit matrices only cover the zero weight")
+        raise ValueError("the resolution is generated only for the zero weight")
     data = bgg_data(m)
     node_wt = {}
     offsets = []
@@ -285,9 +284,9 @@ def multiplicity(e, lam=None):
     """Multiplicity profile of L_lam in the sheaf cohomology of e, one
     entry per cohomological degree.
 
-    For lam = 0 this runs the full hardcoded complex.  The matrices cover
-    only the zero weight, so a nonzero dominant lam goes to the Lie
-    algebra cohomology route.
+    For lam = 0 this runs the resolution complex of the trivial module.
+    The resolution is generated only for the zero weight, so a nonzero
+    dominant lam goes to the Lie algebra cohomology route.
     """
     m = e.m
     zero = tuple([0] * (m - 1))

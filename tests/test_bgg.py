@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,31 +7,89 @@ import sys
 import pytest
 
 import springercenter
-from springercenter import rootdata, bgg, springer
+from springercenter import rootdata, bgg, coinvariants, springer
 from springercenter.bgg import (
     bgg_data, bgg_cochain, cochain_window, multiplicity, diamond_entries,
     hodge_entry, hodge_diamond, diamond_total,
 )
 from springercenter.bmodule import (
-    adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge,
+    adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge, sym,
 )
+
+# direct sl5 diamond entries whose components build in well under a second
+SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
+
+
+def _assert_arrows_cover_bruhat_graph(m):
+    got = set()
+    for (w, w2), poly in bgg_data(m).arrows.items():
+        u = rootdata.WeylElement.from_word(m, w).perm
+        v = rootdata.WeylElement.from_word(m, w2).perm
+        got.add((u, v))
+        assert all(type(c) is int for c, _ in poly.terms)
+    assert got == {(e.lower.perm, e.upper.perm) for e in rootdata.bruhat_graph(m)}
 
 
 def test_arrows_cover_bruhat_graph():
     for m in (2, 3, 4):
-        data = bgg_data(m)
-        got = set()
-        for (w, w2) in data.arrows:
-            u = rootdata.WeylElement.from_word(m, w).perm
-            v = rootdata.WeylElement.from_word(m, w2).perm
-            got.add((u, v))
-        expect = {(e.lower.perm, e.upper.perm) for e in rootdata.bruhat_graph(m)}
-        assert got == expect
+        _assert_arrows_cover_bruhat_graph(m)
 
 
-def test_unsupported_rank_raises():
-    with pytest.raises(Exception):
-        bgg_data(5)
+def _kostant(counts, roots):
+    """Ways to write counts (coefficients on the simple roots) as a sum of
+    the given positive roots, with repetition."""
+    if not any(counts):
+        return 1
+    if not roots:
+        return 0
+    head, rest = roots[0], roots[1:]
+    total, cur = 0, counts
+    while min(cur) >= 0:
+        total += _kostant(cur, rest)
+        cur = tuple(c - h for c, h in zip(cur, head))
+    return total
+
+
+def test_serre_quotient_has_the_pbw_dimension():
+    # PBW: dim U(n^-) at a weight is the Kostant partition number
+    for m, top in [(3, 3), (4, 2)]:
+        env = bgg._Enveloping(m)
+        roots = [tuple(1 if a < i <= b else 0 for i in range(1, m))
+                 for a in range(m) for b in range(a + 1, m)]
+        for counts in itertools.product(range(top + 1), repeat=m - 1):
+            if any(counts):
+                quo = env.space(counts)[2]
+                assert len(quo.kept) == _kostant(counts, roots), counts
+
+
+def test_generated_sl3_arrows_are_the_classical_singular_vectors():
+    # product-order words: (1, 2) stands for f_1 f_2
+    classical = {
+        ((), (1,)): [(1, (1,))],
+        ((), (2,)): [(1, (2,))],
+        ((1,), (2, 1)): [(1, (2, 2))],
+        ((1,), (1, 2)): [(-2, (1, 2)), (1, (2, 1))],
+        ((2,), (1, 2)): [(1, (1, 1))],
+        ((2,), (2, 1)): [(-2, (2, 1)), (1, (1, 2))],
+        ((2, 1), (1, 2, 1)): [(1, (1,))],
+        ((1, 2), (1, 2, 1)): [(1, (2,))],
+    }
+    env = bgg._Enveloping(3)
+    generated = bgg._resolution(3)
+    assert set(generated) == set(classical)
+    for pair, terms in classical.items():
+        # x generated + y classical = 0 in U(n^-) has a solution with x, y nonzero
+        line = env.line([{0: generated[pair]}, {0: terms}])
+        assert line is not None and len(line) == 2
+
+
+def test_sl5_resolution_route_matches_diagonal_coinvariants():
+    assert [len(layer) for layer in bgg_data(5).nodes] == rootdata.poincare_polynomial(5)
+    _assert_arrows_cover_bruhat_graph(5)
+    # each entry runs check_complex, so d.d = 0 is checked on its module
+    dc = coinvariants.expected_diamond_from_dc(5)
+    for (i, j) in SL5_ENTRIES:
+        assert hodge_entry(5, i, j) == dc[(i, j)]
 
 
 def test_node_layers_match_length_generating_function():
@@ -77,13 +136,17 @@ def test_nonzero_weight_multiplicity():
 
 
 def test_nonzero_weight_agrees_with_lie_algebra_route():
-    from springercenter.ce_oracle import ce_cohomology
+    # multiplicity takes a nonzero lam to the Lie algebra route; its
+    # Euler characteristic must be that of the resolution complex,
+    # sum over w of (-1)^l(w) dim E[w.lam], read off the character
     cases = [(tensor(sub_n(3), quotient_u(3)), (1, 1)),
              (adjoint_g(3), (1, 1)),
              (wedge(sub_n(3), 2), (0, 1)),
-             (quotient_u(3), (2, 0))]
+             (quotient_u(3), (2, 0)),
+             (adjoint_g(4), (1, 0, 1)),
+             (sym(quotient_u(3), 2), (2, 2))]
     for mod, lam in cases:
-        assert multiplicity(mod, lam) == ce_cohomology(mod, lam)
+        assert _euler(multiplicity(mod, lam)) == _euler_from_character(mod.character(), mod.m, lam)
 
 
 def test_diamond_entries_shape():
@@ -153,7 +216,7 @@ def test_parallel_failure_names_its_entry(monkeypatch):
 def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):
     # validated data whose arrow () -> (1,) is swapped afterwards for f_2,
     # which drops by alpha_2 instead of alpha_1
-    data = bgg.BGGData(3, bgg._RESOLUTION[3])
+    data = bgg.BGGData(3, bgg._resolution(3))
     data.arrows[((), (1,))] = bgg.LoweringPolynomial([(1, (2,))])
     monkeypatch.setattr(bgg, "bgg_data", lambda m: data)
     with pytest.raises(ValueError, match="lands at weight"):
@@ -161,7 +224,7 @@ def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):
 
 
 def test_validation_rejects_an_arrow_with_the_wrong_weight_drop():
-    res = dict(bgg._RESOLUTION[3])
+    res = bgg._resolution(3)
     res[((), (1,))] = [(1, (2,))]
     with pytest.raises(ValueError, match="wrong weight"):
         bgg.BGGData(3, res)
@@ -173,13 +236,13 @@ def test_validation_rejects_a_word_that_is_not_reduced():
         return (2, 2) if w == (1, 2) else w
 
     res = {(rename(w), rename(w2)): terms
-           for (w, w2), terms in bgg._RESOLUTION[3].items()}
+           for (w, w2), terms in bgg._resolution(3).items()}
     with pytest.raises(ValueError, match="not reduced"):
         bgg.BGGData(3, res)
 
 
 def test_validation_rejects_a_missing_node():
-    res = {pair: terms for pair, terms in bgg._RESOLUTION[3].items()
+    res = {pair: terms for pair, terms in bgg._resolution(3).items()
            if pair[1] != (1, 2, 1)}
     with pytest.raises(ValueError, match="miss Weyl"):
         bgg.BGGData(3, res)
@@ -238,12 +301,16 @@ def test_word_product_assembly_matches_column_by_column_at_m4():
         _assert_matches_reference(springer.build_vk_component(4, k, r, window=window).module)
 
 
-def _euler_from_character(m, k, r):
-    """sum over w of (-1)^l(w) dim V_k^{-2r}[w.0], with no elimination."""
-    char = springer.quotient_character(m, k, r)
-    zero = tuple([0] * (m - 1))
-    return sum((-1) ** w.length() * char.get(w.dot(zero), 0)
+def _euler_from_character(char, m, lam=None):
+    """sum over w of (-1)^l(w) dim E[w.lam] for the character of E, with
+    no elimination; lam defaults to the zero weight."""
+    lam = lam or tuple([0] * (m - 1))
+    return sum((-1) ** w.length() * char.get(w.dot(lam), 0)
                for w in rootdata.weyl_group(m))
+
+
+def _quotient_euler(m, k, r):
+    return _euler_from_character(springer.quotient_character(m, k, r), m)
 
 
 def _euler(profile):
@@ -255,7 +322,7 @@ def test_euler_identity_on_sl3_profiles_of_both_routes():
     for k in range(7):
         for r in range(max(0, k - 3), min(k, 3) + 1):
             mod = springer.build_vk_component(3, k, r).module
-            want = _euler_from_character(3, k, r)
+            want = _quotient_euler(3, k, r)
             assert _euler(ce_cohomology(mod)) == want
             assert _euler(multiplicity(mod)) == want
 
@@ -264,7 +331,20 @@ def test_euler_identity_on_sl4_ce_profiles():
     from springercenter.ce_oracle import ce_cohomology
     for k, r in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 4), (6, 4)]:
         mod = springer.build_vk_component(4, k, r).module
-        assert _euler(ce_cohomology(mod)) == _euler_from_character(4, k, r)
+        assert _euler(ce_cohomology(mod)) == _quotient_euler(4, k, r)
+
+
+def test_euler_identity_on_sl4_and_sl5_resolution_profiles():
+    # every sl4 diamond component and the components of the sl5 entries,
+    # on the windowed modules the diamond runs over
+    comps = [(4, k, r) for k, r in {bgg.entry_component(4, i, j)
+                                    for (i, j) in diamond_entries(4)}]
+    assert len(comps) == 16
+    comps += [(5,) + bgg.entry_component(5, i, j) for (i, j) in SL5_ENTRIES]
+    for m, k, r in comps:
+        comp = springer.build_vk_component(m, k, r, window=cochain_window(m))
+        profile = bgg_cochain(comp.module).cohomology_dims()
+        assert _euler(profile) == _quotient_euler(m, k, r)
 
 
 def test_both_routes_run_with_asserts_stripped():

@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 import springercenter
 
@@ -20,3 +22,15 @@ def test_no_bare_asserts_in_the_package():
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert "exactla.py" in parsed and "cli.py" in parsed
     assert not found, "bare asserts: %s" % ", ".join(found)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps package functions by name, so renaming or
+    # deleting one would otherwise surface only in a traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.dirname(springercenter.__file__)))
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from tracer import Tracer; Tracer('t').install()")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
