@@ -218,18 +218,37 @@ def _cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "springercenter")
 
 
+@functools.cache
+def _source_digest():
+    """sha256 of the package's .py sources.  Read on the first cache
+    access, not at import, so runs without the cache never pay it."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                data = fh.read()
+            h.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
+    return h.hexdigest()
+
+
 def _cache_key(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # keyed on the source too, so edited code never reads older numbers
+    blob = json.dumps(dict(payload, source=_source_digest()),
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(payload):
+def cache_get(payload, valid):
+    """The cached result for payload, or None when there is none or it
+    fails valid(): an entry of the wrong shape is a miss, not a crash."""
     path = os.path.join(_cache_dir(), _cache_key(payload) + ".json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            result = json.load(fh)
     except (OSError, ValueError):
         return None
+    return result if valid(result) else None
 
 
 def cache_put(payload, result):
@@ -311,7 +330,13 @@ def _compute_diamond(m, method, jobs):
 def cmd_diamond(args):
     payload = {"cmd": "diamond", "m": args.m, "method": args.method,
                "version": __version__}
-    result = None if args.no_cache else cache_get(payload)
+    keys = {"%d,%d" % e for e in bgg.diamond_entries(args.m)}
+
+    def valid(res):
+        return (isinstance(res, dict) and set(res) == keys
+                and all(isinstance(v, int) for v in res.values()))
+
+    result = None if args.no_cache else cache_get(payload, valid)
     if result is None:
         log.info("computing diamond for m=%d via %s", args.m, args.method)
         t0 = time.monotonic()
@@ -350,7 +375,13 @@ def cmd_cohomology(args):
         return 1
     payload = {"cmd": "cohomology", "m": args.m, "expr": render_expression(node),
                "lam": lam, "method": args.method, "version": __version__}
-    result = None if args.no_cache else cache_get(payload)
+
+    def valid(res):
+        return (isinstance(res, dict) and isinstance(res.get("expr"), str)
+                and isinstance(res.get("profile"), list)
+                and all(isinstance(v, int) for v in res["profile"]))
+
+    result = None if args.no_cache else cache_get(payload, valid)
     if result is None:
         mod = build_module(args.m, node)
         if args.method == "ce":

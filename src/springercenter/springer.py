@@ -22,6 +22,18 @@ the non-pivot labels, and the same representatives, that eliminating
 delta_subspace() gives: the inclusion term x ^ omega of each spanning
 vector has the most g factors, so it leads in the ambient_bases order.
 
+The lowering matrices are read off per-factor tables, not off the
+labels.  f_i acts as a derivation on S(u) (x) wedge(g) (x) wedge(n), so
+its image on a kept label (mono, gset, nset) is the sum of its images on
+the three factors.  Only one term can leave the kept labels: e_i in the
+g-set goes to -h_i, and substituting -y_{h_i} for it puts one factor
+more into the monomial and into the n-set.  _FactorTables interns each
+factor of sl_m as a small int and memoises these images per factor id,
+so VkComponent keys each weight's index by id triples, and its build
+neither acts on nor substitutes in a nested label.  It enumerates the
+kept labels directly instead of filtering ambient_bases.  project()
+still substitutes label by label, for the witness and the tests.
+
 Everything is constructed one weight space at a time, since the
 denominator is weight-homogeneous.  A construction can be windowed to a
 set of weights (enough for running a resolution complex over it), or
@@ -148,9 +160,9 @@ def _ambient_params(m, k, r):
     return out
 
 
-# Bounded: a diamond builds each (k, r) once, so an unbounded cache only
-# holds memory.  delta_subspace reads at most n + 2 keys per weight, and
-# 8 keeps those reads hitting for m <= 4.
+# Bounded: only delta_subspace reads this (VkComponent enumerates the
+# kept labels itself), and it reads at most n + 2 keys per weight; 8
+# keeps those reads hitting for m <= 4.
 @lru_cache(maxsize=8)
 def ambient_bases(m, k, r):
     """All weight spaces of the ambient sum; dict weight -> list of
@@ -186,40 +198,6 @@ def _insert_sorted(tup, x):
     while pos < len(tup) and tup[pos] < x:
         pos += 1
     return tup[:pos] + (x,) + tup[pos:], pos
-
-
-def _ambient_act(m, i, label):
-    """f_i applied to an ambient basis element; dict label -> coeff."""
-    mono, gset, nset = label
-    out = {}
-
-    def accum(lbl, c):
-        if c:
-            out[lbl] = out.get(lbl, 0) + c
-
-    au = _act_u(m, i)
-    for t, ul in enumerate(mono):
-        for ul2, c in au[ul].items():
-            accum((tuple(sorted(mono[:t] + (ul2,) + mono[t + 1:])), gset, nset), c)
-    ag = _act_g(m, i)
-    for t, gl in enumerate(gset):
-        for gl2, c in ag[gl].items():
-            rest = gset[:t] + gset[t + 1:]
-            new, pos = _insert_sorted(rest, gl2)
-            if new is None:
-                continue
-            sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
-            accum((mono, new, nset), c * sign)
-    an = _act_n(m, i)
-    for t, nl in enumerate(nset):
-        for nl2, c in an[nl].items():
-            rest = nset[:t] + nset[t + 1:]
-            new, pos = _insert_sorted(rest, nl2)
-            if new is None:
-                continue
-            sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
-            accum((mono, gset, new), c * sign)
-    return {lbl: c for lbl, c in out.items() if c}
 
 
 def _delta_wedge(m, s_mono, x, omega):
@@ -283,6 +261,14 @@ def _b_position(gset):
     return None
 
 
+@lru_cache(maxsize=None)
+def _kept_wedge_g_basis(m, a):
+    """_wedge_g_basis restricted to the g-sets with no factor in b; a
+    weight whose g-sets all meet b keeps an empty list."""
+    return {mu: [g for g in gl if _b_position(g) is None]
+            for mu, gl in _wedge_g_basis(m, a).items()}
+
+
 def quotient_character(m, k, r):
     """Character of V_k^{-2r}, counted off the kept labels without
     enumerating them or building lowering matrices."""
@@ -290,23 +276,21 @@ def quotient_character(m, k, r):
     for (a, b, p) in _ambient_params(m, k, r):
         wn = _wedge_n_basis(m, b)
         su = _sym_u_basis(m, p)
-        for mug, gl in _wedge_g_basis(m, a).items():
-            kept = sum(_b_position(g) is None for g in gl)
-            if not kept:
+        for mug, gl in _kept_wedge_g_basis(m, a).items():
+            if not gl:
                 continue
             for mun, nl in wn.items():
                 mugn = rootdata.add(mug, mun)
                 for muu, ul in su.items():
                     mu = rootdata.add(mugn, muu)
-                    out[mu] = out.get(mu, 0) + kept * len(nl) * len(ul)
+                    out[mu] = out.get(mu, 0) + len(gl) * len(nl) * len(ul)
     return out
 
 
 def _substitute(m, label):
     """Projection of one ambient label to the kept labels, as dict label
-    -> coeff.  Not memoised: a lowering image has at most one b factor,
-    so the build substitutes once per label, and a memo keyed on the
-    nested labels cost more time and peak memory than it saved."""
+    -> coeff.  Not memoised: project() is the only caller, and
+    VkComponent reads the same substitution off _FactorTables."""
     mono, gset, nset = label
     pos = _b_position(gset)
     if pos is None:
@@ -325,36 +309,197 @@ def _substitute(m, label):
     return {lbl: v for lbl, v in out.items() if v}
 
 
+class _FactorTables:
+    """The factors of the kept labels of sl_m, interned as small ints,
+    with their images under each f_i memoised per factor id.
+
+    Factor kind 0 is the monomial in S(u), 1 the g-set (kept, so inside
+    u) and 2 the n-set.  image() gives f_i on one factor; a g-set term
+    that lands in b (e_i -> -h_i) carries its x, and raises() gives what
+    substituting -y_x does to the monomial and to the n-set.  One table
+    per m: the interned labels are shared by all (k, r), but ad(x)
+    depends on m.
+    """
+
+    def __init__(self, m):
+        self.m = m
+        self.ids = ({}, {}, {})        # factor -> id, per kind
+        self.factors = ([], [], [])    # id -> factor, per kind
+        self._bases = {}               # (kind, degree) -> weight -> (factors, ids)
+        self._images = {i: ({}, {}, {}) for i in range(1, m)}
+        self._raises = {}              # (kind, x) -> id -> per-term results
+
+    def _intern(self, kind, factor):
+        ids = self.ids[kind]
+        j = ids.get(factor)
+        if j is None:
+            j = ids[factor] = len(self.factors[kind])
+            self.factors[kind].append(factor)
+        return j
+
+    def basis(self, kind, degree):
+        """The factors of one kind and degree by weight, in the order of
+        ambient_bases, each with its list of ids."""
+        key = (kind, degree)
+        if key not in self._bases:
+            graded = (_sym_u_basis, _kept_wedge_g_basis, _wedge_n_basis)[kind](self.m, degree)
+            self._bases[key] = {mu: (fs, [self._intern(kind, f) for f in fs])
+                                for mu, fs in graded.items()}
+        return self._bases[key]
+
+    def key(self, label):
+        """The id triple of a kept label that some basis() has interned."""
+        return tuple(self.ids[kind][f] for kind, f in enumerate(label))
+
+    def image(self, i, kind, j):
+        """f_i on one factor: (id, coeff) pairs, except that a g-set term
+        whose new factor lies in b is (rest id, coeff, x) with the sign
+        of substituting -y_x for x already in coeff."""
+        memo = self._images[i][kind]
+        got = memo.get(j)
+        if got is None:
+            got = memo[j] = self._image(i, kind, self.factors[kind][j])
+        return got
+
+    def _image(self, i, kind, f):
+        m = self.m
+        if kind == 0:
+            out = {}
+            for t, ul in enumerate(f):
+                for ul2, c in _act_u(m, i)[ul].items():
+                    j = self._intern(0, tuple(sorted(f[:t] + (ul2,) + f[t + 1:])))
+                    out[j] = out.get(j, 0) + c
+            return [(j, c) for j, c in out.items() if c]
+        out = []
+        for t, x in enumerate(f):
+            rest = f[:t] + f[t + 1:]
+            for x2, c in (_act_g if kind == 1 else _act_n)(m, i)[x].items():
+                new, pos = _insert_sorted(rest, x2)
+                if new is None:
+                    continue
+                c = c if (pos - t) % 2 == 0 else -c
+                if kind == 2 or _b_position(new) is None:
+                    out.append((self._intern(kind, new), c))
+                else:
+                    # x2 is the only b factor of new, so _substitute
+                    # replaces it at pos: sign (-1)^(pos+|rest|+pos_n+1)
+                    c = c if (pos + len(rest)) % 2 == 0 else -c
+                    out.append((self._intern(1, rest), c, x2))
+        return out
+
+    def raises(self, kind, x, j):
+        """The monomial (kind 0) or n-set (kind 2) factor j after each
+        term (e, n, c) of ad(x): for the monomial the id of mono * e, for
+        the n-set (id of nset ^ n, -c (-1)^pos_n) or None when n is
+        already a factor."""
+        memo = self._raises.setdefault((kind, x), {})
+        got = memo.get(j)
+        if got is None:
+            f = self.factors[kind][j]
+            got = memo[j] = []
+            for e_lbl, n_lbl, c in _ad_n(self.m)[x]:
+                if kind == 0:
+                    got.append(self._intern(0, tuple(sorted(f + (e_lbl,)))))
+                    continue
+                new, pos_n = _insert_sorted(f, n_lbl)
+                got.append(None if new is None else
+                           (self._intern(2, new), -c if pos_n % 2 == 0 else c))
+        return got
+
+    def kept_bases(self, k, r, window):
+        """Weight -> (kept labels, their id triples) of V_k^{-2r}, in the
+        order of ambient_bases, over the weights of window (all weights
+        when None).  A weight whose ambient labels all meet b is kept
+        with empty lists."""
+        out = {}
+        for (a, b, p) in _ambient_params(self.m, k, r):
+            wn = self.basis(2, b)
+            su = self.basis(0, p)
+            for mug, (gl, gids) in self.basis(1, a).items():
+                for mun, (nl, nids) in wn.items():
+                    mugn = rootdata.add(mug, mun)
+                    for muu, (ul, uids) in su.items():
+                        mu = rootdata.add(mugn, muu)
+                        if window is not None and mu not in window:
+                            continue
+                        lbls, keys = out.setdefault(mu, ([], []))
+                        for s, sid in zip(ul, uids):
+                            for g, gid in zip(gl, gids):
+                                for nn, nid in zip(nl, nids):
+                                    lbls.append((s, g, nn))
+                                    keys.append((sid, gid, nid))
+        return out
+
+    def lowering(self, i, keys, target_index):
+        """Entries (row, col) -> coeff of f_i from the kept labels keys
+        to the weight whose id-triple index is target_index, in the order
+        that acting on each ambient label and projecting gives."""
+        ent = {}
+        image = self.image
+        for col, (mid, gid, nid) in enumerate(keys):
+            out = {}
+            for mid2, c in image(i, 0, mid):
+                q = target_index[(mid2, gid, nid)]
+                out[q] = out.get(q, 0) + c
+            for term in image(i, 1, gid):
+                if len(term) == 2:
+                    q = target_index[(mid, term[0], nid)]
+                    out[q] = out.get(q, 0) + term[1]
+                    continue
+                rid, c, x = term
+                monos = self.raises(0, x, mid)
+                for t, got in enumerate(self.raises(2, x, nid)):
+                    if got is not None:
+                        q = target_index[(monos[t], rid, got[0])]
+                        out[q] = out.get(q, 0) + c * got[1]
+            for nid2, c in image(i, 2, nid):
+                q = target_index[(mid, gid, nid2)]
+                out[q] = out.get(q, 0) + c
+            for q, v in out.items():
+                if v:
+                    ent[(q, col)] = v
+        return ent
+
+
+@lru_cache(maxsize=None)
+def _factor_tables(m):
+    return _FactorTables(m)
+
+
 class VkComponent:
-    """The quotient module V_k^{-2r}, weight space by weight space."""
+    """The quotient module V_k^{-2r}, weight space by weight space.
+
+    The kept labels are enumerated directly, in the ambient_bases order,
+    and each weight's index is keyed by their id triples in the m's
+    _FactorTables.  Each lowering matrix sums the memoised images of
+    the three factors of each label, so its entries, and their order,
+    are those of acting on each label and projecting it.
+    """
 
     def __init__(self, m, k, r, window=None):
         self.m, self.k, self.r = m, k, r
-        bases = ambient_bases(m, k, r)
+        tables = self._tables = _factor_tables(m)
+        bases = tables.kept_bases(k, r, window)
         complete = window is None
         window = set(bases) if window is None else set(window)
         self.window = window
         self._index = {}
-        spaces = {}
+        spaces, keys = {}, {}
         for mu in window:
-            amb = bases.get(mu)
-            if not amb:
+            got = bases.get(mu)
+            if got is None:
                 continue
-            kept = [lbl for lbl in amb if _b_position(lbl[1]) is None]
-            self._index[mu] = {lbl: j for j, lbl in enumerate(kept)}
-            if kept:
-                spaces[mu] = kept
+            self._index[mu] = {key: j for j, key in enumerate(got[1])}
+            if got[0]:
+                spaces[mu], keys[mu] = got
         lower = {}
         for mu, lbls in spaces.items():
             for i in range(1, m):
                 target = rootdata.sub(mu, rootdata.simple_root(m, i))
-                if target not in window:
+                # without ambient labels at target, f_i maps to zero
+                if target not in self._index:
                     continue
-                ent = {}
-                for col, lbl in enumerate(lbls):
-                    img = _ambient_act(m, i, lbl)
-                    for q, v in self.project(target, img).items():
-                        ent[(q, col)] = v
+                ent = tables.lowering(i, keys[mu], self._index[target])
                 if ent:
                     lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
         self.module = BModule(m, spaces, lower, complete=complete,
@@ -375,7 +520,7 @@ class VkComponent:
         out = {}
         for lbl, v in label_vec.items():
             for kept, c in _substitute(self.m, lbl).items():
-                q = idx[kept]
+                q = idx[self._tables.key(kept)]
                 out[q] = out.get(q, 0) + c * v
         return {q: v for q, v in out.items() if v}
 

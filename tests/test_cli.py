@@ -91,6 +91,47 @@ def test_diamond_cache_round_trip(tmp_path, monkeypatch, capsys):
     assert first == second
 
 
+def test_entry_written_by_other_sources_is_not_served(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    real = cli._source_digest()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    code, _, _ = run(["diamond", "--m", "2", "--format", "json"], capsys)
+    assert code == 0
+    [name] = os.listdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps({"0,0": 5, "1,1": 5, "0,2": 5}))
+    code, out, _ = run(["diamond", "--m", "2", "--format", "json"], capsys)
+    assert json.loads(out)["total"] == 15  # the other sources read their entry
+    monkeypatch.setattr(cli, "_source_digest", lambda: real)
+    code, out, _ = run(["diamond", "--m", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["total"] == 3
+    assert len(os.listdir(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("bad", ['[]', '{"0,0": 1}', '{"0,0": "1", "1,1": 1, "0,2": 1}',
+                                 '"x"'])
+def test_wrong_shaped_diamond_entry_is_recomputed(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, first, _ = run(["diamond", "--m", "2"], capsys)
+    assert code == 0
+    [name] = os.listdir(tmp_path)
+    (tmp_path / name).write_text(bad)
+    code, again, err = run(["diamond", "--m", "2"], capsys)
+    assert (code, again, err) == (0, first, "")
+    assert json.loads((tmp_path / name).read_text()) == {"0,0": 1, "1,1": 1, "0,2": 1}
+
+
+def test_wrong_shaped_cohomology_entry_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["cohomology", "--m", "2", "--expr", "g"]
+    code, first, _ = run(argv, capsys)
+    assert code == 0
+    for bad in ['[]', '{"expr": "g"}', '{"expr": "g", "profile": [1, "x"]}']:
+        [name] = os.listdir(tmp_path)
+        (tmp_path / name).write_text(bad)
+        assert run(argv, capsys) == (0, first, "")
+
+
 def test_no_cache_leaves_directory_empty(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(["diamond", "--m", "2", "--no-cache"], capsys)

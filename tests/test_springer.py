@@ -143,6 +143,42 @@ def test_witness_that_is_not_a_line_raises(monkeypatch):
         trivial_summand_witness(3)
 
 
+def _ambient_act(m, i, label):
+    """f_i applied to an ambient basis element, one label at a time; dict
+    label -> coeff.  The per-label reference for VkComponent's factor
+    tables."""
+    mono, gset, nset = label
+    out = {}
+
+    def accum(lbl, c):
+        if c:
+            out[lbl] = out.get(lbl, 0) + c
+
+    au = springer._act_u(m, i)
+    for t, ul in enumerate(mono):
+        for ul2, c in au[ul].items():
+            accum((tuple(sorted(mono[:t] + (ul2,) + mono[t + 1:])), gset, nset), c)
+    ag = springer._act_g(m, i)
+    for t, gl in enumerate(gset):
+        for gl2, c in ag[gl].items():
+            rest = gset[:t] + gset[t + 1:]
+            new, pos = springer._insert_sorted(rest, gl2)
+            if new is None:
+                continue
+            sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
+            accum((mono, new, nset), c * sign)
+    an = springer._act_n(m, i)
+    for t, nl in enumerate(nset):
+        for nl2, c in an[nl].items():
+            rest = nset[:t] + nset[t + 1:]
+            new, pos = springer._insert_sorted(rest, nl2)
+            if new is None:
+                continue
+            sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
+            accum((mono, gset, new), c * sign)
+    return {lbl: c for lbl, c in out.items() if c}
+
+
 def _eliminated_component(m, k, r, window):
     """V_k^{-2r} the slow way: eliminate the span of delta_subspace at
     each weight and project lowering images onto the non-pivot labels.
@@ -165,7 +201,7 @@ def _eliminated_component(m, k, r, window):
             idx = {lbl: j for j, lbl in enumerate(bases.get(target, []))}
             ent = {}
             for col, lbl in enumerate(lbls):
-                img = springer._ambient_act(m, i, lbl)
+                img = _ambient_act(m, i, lbl)
                 if not img:
                     continue
                 vec = {idx[l]: v for l, v in img.items()}
@@ -205,3 +241,51 @@ def test_substitution_matches_elimination_at_m2_m3():
 def test_substitution_matches_elimination_at_m4():
     _assert_matches_elimination(4, 2, 1)
     _assert_matches_elimination(4, 4, 2, window=bgg.cochain_window(4))
+
+
+def _lowering_snapshot(comp):
+    # entries in insertion order, so the order is compared too
+    return {key: (mat.nrows, mat.ncols, list(mat.entries.items()))
+            for key, mat in comp.module.lower.items()}
+
+
+def test_factor_tables_match_acting_on_each_label_at_sl5():
+    # the memoised per-factor images against acting on each kept label
+    # and projecting, on the windowed sl5 component (4,2)
+    m, k, r = 5, 4, 2
+    window = bgg.cochain_window(m)
+    comp = build_vk_component(m, k, r, window=window)
+    spaces = {}
+    for mu in window:
+        kept = [l for l in ambient_component(m, k, r, mu) if springer._b_position(l[1]) is None]
+        if kept:
+            spaces[mu] = kept
+    assert comp.module.spaces == spaces
+    assert list(comp.module.spaces) == list(spaces)
+    lower = {}
+    for mu, lbls in spaces.items():
+        for i in range(1, m):
+            target = rootdata.sub(mu, rootdata.simple_root(m, i))
+            if target not in window:
+                continue
+            ent = {}
+            for col, lbl in enumerate(lbls):
+                for q, v in comp.project(target, _ambient_act(m, i, lbl)).items():
+                    ent[(q, col)] = v
+            if ent:
+                lower[(i, mu)] = (len(spaces[target]), len(lbls), list(ent.items()))
+    assert _lowering_snapshot(comp) == lower
+    assert comp.module.dim == 13954
+
+
+def test_factor_tables_do_not_leak_across_m():
+    # ids are per m: builds of m = 3 and m = 4 interleaved on shared
+    # tables give the matrices of builds on fresh tables
+    cases = [(3, 2, 1, None), (4, 2, 1, None), (3, 3, 2, None),
+             (4, 4, 2, bgg.cochain_window(4)), (3, 1, 0, None), (4, 3, 2, None)]
+    springer._factor_tables.cache_clear()
+    shared = [_lowering_snapshot(build_vk_component(m, k, r, window=w))
+              for (m, k, r, w) in cases]
+    for (m, k, r, w), got in zip(cases, shared):
+        springer._factor_tables.cache_clear()
+        assert _lowering_snapshot(build_vk_component(m, k, r, window=w)) == got, (m, k, r)
