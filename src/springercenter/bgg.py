@@ -19,6 +19,9 @@ w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
 weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  The data
 is validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
+
+hodge_diamond is the one diamond driver for both routes: the resolution
+complex here, or the Lie algebra cohomology complex of ce_oracle.
 """
 
 import logging
@@ -164,10 +167,8 @@ class BGGData:
             layer.sort()
         self._validate()
 
-    def node_weight(self, word, lam=None):
-        if lam is None:
-            lam = tuple([0] * (self.m - 1))
-        return rootdata.WeylElement.from_word(self.m, word).dot(lam)
+    def node_weight(self, word):
+        return rootdata.WeylElement.from_word(self.m, word).dot((0,) * (self.m - 1))
 
     def _validate(self):
         m = self.m
@@ -192,22 +193,20 @@ class BGGData:
 
 @lru_cache(maxsize=None)
 def bgg_data(m):
-    # the combinatorial data is lam-independent; weights come out of
-    # node_weight(word, lam) at use sites
     return BGGData(m, _resolution(m))
 
 
 @lru_cache(maxsize=None)
-def cochain_window(m, lam=None):
+def cochain_window(m):
     """All weights touched while running the complex: node weights plus
     every intermediate weight along each word of each arrow; built once."""
     data = bgg_data(m)
     window = set()
     for layer in data.nodes:
         for word in layer:
-            window.add(data.node_weight(word, lam))
+            window.add(data.node_weight(word))
     for (w, _), poly in data.arrows.items():
-        mu = data.node_weight(w, lam)
+        mu = data.node_weight(w)
         for _, word in poly.terms:
             cur = mu
             for i in word:
@@ -216,20 +215,17 @@ def cochain_window(m, lam=None):
     return frozenset(window)
 
 
-def bgg_cochain(e, lam=None):
-    """The complex of weight spaces of e with the lowering differentials.
+def bgg_cochain(e):
+    """The complex of weight spaces of e with the lowering differentials
+    of the resolution of the trivial module, whose cohomology is the
+    multiplicity of L_0; multiplicity() sends a nonzero lam elsewhere.
 
-    lam must be the zero weight, since the generated resolution is that
-    of the trivial module; use multiplicity() for general lam.
     The block of an arrow w -> w2 sums coeff times the product of the
     lowering matrices along each word.  Prefix products are shared only
     by words from one node, since distinct nodes have distinct weights,
     so the memo is dropped once the node's arrows are placed.
     """
     m = e.m
-    zero = tuple([0] * (m - 1))
-    if lam is not None and lam != zero:
-        raise ValueError("the resolution is generated only for the zero weight")
     data = bgg_data(m)
     node_wt = {}
     offsets = []
@@ -315,10 +311,18 @@ def entry_component(m, i, j):
     return k, (i + k) // 2
 
 
-def hodge_entry(m, i, j):
+def hodge_entry(m, i, j, method="bgg"):
     """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
-    the tangent sheaf, as a multiplicity of the trivial module."""
+    the tangent sheaf, as a multiplicity of the trivial module: degree i
+    of the profile of the component entry_component(m, i, j).
+
+    method "ce" runs the Lie algebra cohomology complex on the complete
+    component; any other runs the resolution complex ("bgg") on the
+    component built on cochain_window(m)."""
     k, r = entry_component(m, i, j)
+    if method == "ce":
+        from . import ce_oracle
+        return ce_oracle.ce_cohomology(springer.build_vk_component(m, k, r).module)[i]
     window = cochain_window(m)
     comp = springer.build_vk_component(m, k, r, window=window)
     cx = bgg_cochain(comp.module)
@@ -334,16 +338,22 @@ class EntryFailed(Exception):
 
 
 def _entry_task(args):
-    m, i, j = args
+    m, i, j, method = args
     try:
-        return (i, j), hodge_entry(m, i, j)
+        return (i, j), hodge_entry(m, i, j, method)
     except Exception as ex:
         raise EntryFailed("diamond entry (%d, %d) for m = %d failed: %s: %s"
                           % (i, j, m, type(ex).__name__, ex)) from ex
 
 
-def hodge_diamond(m, jobs=1):
-    """All bigraded dimensions as a dict (i, j) -> h."""
+def hodge_diamond(m, jobs=1, method="bgg"):
+    """All bigraded dimensions as a dict (i, j) -> h, on the resolution
+    route ("bgg") or the Lie algebra cohomology route ("ce").
+
+    Only the direct entries j <= n are computed, one hodge_entry each
+    (in a pool of `jobs` workers when jobs > 1); entry_component is
+    injective on them, so each component is built once.  The entries
+    with j > n are read off their partners (i, 2n - j)."""
     n = m * (m - 1) // 2
     entries = diamond_entries(m)
     direct = [(i, j) for (i, j) in entries if j <= n]
@@ -351,11 +361,11 @@ def hodge_diamond(m, jobs=1):
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for key, h in ex.map(_entry_task, [(m, i, j) for (i, j) in direct]):
+            for key, h in ex.map(_entry_task, [(m, i, j, method) for (i, j) in direct]):
                 out[key] = h
     else:
         for (i, j) in direct:
-            out[(i, j)] = hodge_entry(m, i, j)
+            out[(i, j)] = hodge_entry(m, i, j, method)
     for (i, j) in entries:
         if j > n:
             out[(i, j)] = out[(i, 2 * n - j)]

@@ -15,8 +15,9 @@ MissingWeightSpace instead of silently returning zero.
 """
 
 import itertools
+from functools import lru_cache
 
-from .exactla import SparseMatrix, RowReducer, QuotientMap
+from .exactla import SparseMatrix, RowReducer
 from . import rootdata
 
 
@@ -210,45 +211,49 @@ def _module_from_action(m, labeled, act, name=""):
     return BModule(m, spaces, lower, complete=True, name=name)
 
 
+def lie_labels(m, name):
+    """Basis labels of "g", "b", "n" or "u" = g/b, sorted: the matrix
+    units E_ab off the diagonal for g, below it (a > b) for b and n,
+    above it for u, and the h_i for g and b."""
+    below, above = name != "u", name in ("g", "u")
+    labels = [("E", a, b) for a in range(m) for b in range(m)
+              if (a > b and below) or (a < b and above)]
+    if name in ("g", "b"):
+        labels += [("H", i) for i in range(1, m)]
+    return labels
+
+
+@lru_cache(maxsize=None)
+def lie_action(m, i, name):
+    """f_i acting by the bracket on lie_labels(m, name), as label ->
+    {label: coeff}; on u = g/b the part of each bracket in b is dropped."""
+    labels = lie_labels(m, name)
+    keep, f = set(labels), f_label(m, i)
+    return {x: {k: v for k, v in bracket(m, f, x).items() if k in keep} for x in labels}
+
+
+def _lie_module(m, name):
+    labeled = [(l, gl_label_weight(m, l)) for l in lie_labels(m, name)]
+    return _module_from_action(m, labeled, lambda i, lbl: lie_action(m, i, name)[lbl],
+                               name=name)
+
+
 def adjoint_g(m):
-    labels = [("E", a, b) for a in range(m) for b in range(m) if a != b]
-    labels += [("H", i) for i in range(1, m)]
-
-    def act(i, lbl):
-        return bracket(m, f_label(m, i), lbl)
-
-    return _module_from_action(m, [(l, gl_label_weight(m, l)) for l in labels], act, name="g")
+    return _lie_module(m, "g")
 
 
 def sub_n(m):
     """Nilradical of the Borel: strictly lower triangular matrices."""
-    labels = [("E", a, b) for a in range(m) for b in range(a)]
-
-    def act(i, lbl):
-        return bracket(m, f_label(m, i), lbl)
-
-    return _module_from_action(m, [(l, gl_label_weight(m, l)) for l in labels], act, name="n")
+    return _lie_module(m, "n")
 
 
 def sub_b(m):
-    labels = [("E", a, b) for a in range(m) for b in range(a)]
-    labels += [("H", i) for i in range(1, m)]
-
-    def act(i, lbl):
-        return bracket(m, f_label(m, i), lbl)
-
-    return _module_from_action(m, [(l, gl_label_weight(m, l)) for l in labels], act, name="b")
+    return _lie_module(m, "b")
 
 
 def quotient_u(m):
     """g/b, realized on strictly upper triangular matrix units."""
-    labels = [("E", a, b) for a in range(m) for b in range(a + 1, m)]
-    upper = set(labels)
-
-    def act(i, lbl):
-        return {k: v for k, v in bracket(m, f_label(m, i), lbl).items() if k in upper}
-
-    return _module_from_action(m, [(l, gl_label_weight(m, l)) for l in labels], act, name="u")
+    return _lie_module(m, "u")
 
 
 def trivial_module(m):
@@ -405,62 +410,6 @@ def dual(a, name=None):
                 neg_src = tuple(-c for c in src)
                 lower[(i, neg_src)] = SparseMatrix(mat.ncols, mat.nrows, ent)
     return BModule(a.m, spaces, lower, name=name or "dual(%s)" % a.name)
-
-
-class NotSubmodule(Exception):
-    pass
-
-
-def quotient(a, vectors, name=None, check=True):
-    """Quotient of a complete module by the span of the given vectors.
-
-    vectors: list of (mu, dict index -> coeff) in weight-space coordinates.
-    The span must be f_i-stable; with check=True this is verified.
-    """
-    groups = {}
-    for mu, vec in vectors:
-        groups.setdefault(mu, []).append(vec)
-    quots = {mu: QuotientMap(len(a.spaces.get(mu, ())), vecs)
-             for mu, vecs in groups.items()}
-    spaces = {}
-    kept = {}
-    for mu, lbls in a.spaces.items():
-        q = quots.get(mu)
-        keep = q.kept if q else list(range(len(lbls)))
-        if keep:
-            spaces[mu] = [lbls[c] for c in keep]
-            kept[mu] = keep
-
-    def project(mu, vec):
-        q = quots.get(mu)
-        return q.project(vec) if q else vec
-
-    if check:
-        for mu, q in quots.items():
-            for i in range(1, a.m):
-                target = rootdata.sub(mu, rootdata.simple_root(a.m, i))
-                mat = a.lower_matrix(i, mu)
-                tq = quots.get(target)
-                for row in q.reducer.echelon.values():
-                    img = mat.apply(row)
-                    if img and (tq is None or not tq.contains(img)):
-                        raise NotSubmodule("span not stable under f_%d at %r" % (i, mu))
-    lower = {}
-    for mu in spaces:
-        srccols = kept[mu]
-        for i in range(1, a.m):
-            target = rootdata.sub(mu, rootdata.simple_root(a.m, i))
-            mat = a.lower_matrix(i, mu)
-            if target not in spaces:
-                continue
-            ent = {}
-            for newcol, c in enumerate(srccols):
-                img = mat.apply({c: 1})
-                for r, v in project(target, img).items():
-                    ent[(r, newcol)] = v
-            if ent:
-                lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(srccols), ent)
-    return BModule(a.m, spaces, lower, name=name or "quotient(%s)" % a.name)
 
 
 def natural_module(m):

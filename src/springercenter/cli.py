@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands:
-  diamond      full bigraded table for a given m (resolution or
-               coinvariant method)
+  diamond      full bigraded table for a given m (resolution or Lie
+               algebra cohomology method)
   cohomology   multiplicity profile for a bundle expression
   compare-dc   diamond vs. the diagonal coinvariant prediction
   verify       structural self-checks
@@ -307,28 +307,10 @@ def _render_diamond(m, diamond, fmt, out):
 
 # ----------------------------------------------------------------- subcommands
 
-def _diamond_components(m):
-    """The distinct (k, r) that the diamond entries fold onto, sorted."""
-    return sorted({bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)})
-
-
-def _ce_diamond(m):
-    profiles = {}
-    for k, r in _diamond_components(m):
-        mod = springer.build_vk_component(m, k, r).module
-        profiles[(k, r)] = ce_oracle.ce_cohomology(mod)
-    return {(i, j): profiles[bgg.entry_component(m, i, j)][i]
-            for (i, j) in bgg.diamond_entries(m)}
-
-
-def _compute_diamond(m, method, jobs):
-    if method == "ce":
-        return _ce_diamond(m)
-    return bgg.hodge_diamond(m, jobs=jobs)
-
-
-def cmd_diamond(args):
-    payload = {"cmd": "diamond", "m": args.m, "method": args.method,
+def _diamond(args, method):
+    """The diamond of args.m on one route, read from and written to the
+    result cache unless --no-cache is given."""
+    payload = {"cmd": "diamond", "m": args.m, "method": method,
                "version": __version__}
     keys = {"%d,%d" % e for e in bgg.diamond_entries(args.m)}
 
@@ -337,28 +319,30 @@ def cmd_diamond(args):
                 and all(isinstance(v, int) for v in res.values()))
 
     result = None if args.no_cache else cache_get(payload, valid)
-    if result is None:
-        log.info("computing diamond for m=%d via %s", args.m, args.method)
-        t0 = time.monotonic()
-        if args.method == "both":
-            a = _compute_diamond(args.m, "bgg", args.jobs)
-            b = _compute_diamond(args.m, "ce", args.jobs)
-            bad = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
-            for k in bad:
-                log.error("entry %r: resolution %r vs lie-algebra %r",
-                          k, a.get(k), b.get(k))
-            if bad:
-                return 2
-            diamond = a
-        else:
-            diamond = _compute_diamond(args.m, args.method, args.jobs)
-        log.info("diamond for m=%d done in %.1fs", args.m, time.monotonic() - t0)
-        result = {"%d,%d" % k: v for k, v in diamond.items()}
-        if not args.no_cache:
-            cache_put(payload, result)
+    if result is not None:
+        log.info("cache hit for m=%d via %s", args.m, method)
+        return {tuple(map(int, k.split(","))): v for k, v in result.items()}
+    log.info("computing diamond for m=%d via %s", args.m, method)
+    t0 = time.monotonic()
+    diamond = bgg.hodge_diamond(args.m, jobs=args.jobs, method=method)
+    log.info("diamond for m=%d done in %.1fs", args.m, time.monotonic() - t0)
+    if not args.no_cache:
+        cache_put(payload, {"%d,%d" % k: v for k, v in diamond.items()})
+    return diamond
+
+
+def cmd_diamond(args):
+    if args.method == "both":
+        a, b = _diamond(args, "bgg"), _diamond(args, "ce")
+        bad = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+        for k in bad:
+            log.error("entry %r: resolution %r vs lie-algebra %r",
+                      k, a.get(k), b.get(k))
+        if bad:
+            return 2
+        diamond = a
     else:
-        log.info("cache hit for m=%d", args.m)
-    diamond = {tuple(map(int, k.split(","))): v for k, v in result.items()}
+        diamond = _diamond(args, args.method)
     _render_diamond(args.m, diamond, args.format, sys.stdout)
     return 0
 
@@ -407,7 +391,7 @@ def cmd_cohomology(args):
 
 
 def cmd_compare_dc(args):
-    computed = bgg.hodge_diamond(args.m, jobs=args.jobs)
+    computed = _diamond(args, "bgg")
     predicted = coinvariants.expected_diamond_from_dc(args.m)
     keys = sorted(set(computed) | set(predicted))
     bad = [k for k in keys if computed.get(k, 0) != predicted.get(k, 0)]
@@ -476,7 +460,8 @@ def _suite_sl2(m, get_diamond):
 
 
 def _suite_oracle(m, get_diamond):
-    for k, r in _diamond_components(m):
+    components = {bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)}
+    for k, r in sorted(components):
         mod = springer.build_vk_component(m, k, r).module
         if bgg.multiplicity(mod) != ce_oracle.ce_cohomology(mod):
             return False
@@ -505,7 +490,8 @@ _SUITES = [("complex", _suite_complex), ("duality", _suite_duality),
 
 
 def cmd_verify(args):
-    # suites that read the diamond share one computation per run
+    # suites that read the diamond share one computation per run, never
+    # read from the cache: the complex suite needs its check_complex runs
     @functools.cache
     def get_diamond():
         return bgg.hodge_diamond(args.m)
@@ -535,11 +521,12 @@ def main(argv=None):
     parser.add_argument("--verbose", "-v", action="store_true", help="chatty stderr logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p, jobs=False, cache=True):
         p.add_argument("--m", type=int, required=True, help="rank parameter of sl_m")
         p.add_argument("--format", default="pretty",
                        choices=["json", "csv", "latex", "pretty"])
-        p.add_argument("--no-cache", action="store_true")
+        if cache:
+            p.add_argument("--no-cache", action="store_true")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers for independent entries")
@@ -563,7 +550,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_compare_dc)
 
     p = sub.add_parser("verify", help="structural self checks")
-    common(p)
+    common(p, cache=False)
     p.add_argument("--suite", default="all",
                    choices=["all", "complex", "duality", "sl2", "oracle", "bwb"])
     p.set_defaults(fn=cmd_verify)

@@ -297,10 +297,6 @@ class QuotientMap:
     def project(self, vec):
         return {self._col[c]: v for c, v in self.reducer.reduce(vec).items()}
 
-    def contains(self, vec):
-        """Whether vec lies in the span."""
-        return not self.reducer.reduce(vec)
-
 
 def _image_reducer(mat, cleared=()):
     """RowReducer holding the images mat(e_j) of the basis vectors e_j

@@ -47,7 +47,7 @@ from functools import lru_cache
 from .exactla import SparseMatrix, kernel_basis
 from . import rootdata
 from . import bmodule
-from .bmodule import BModule, MissingWeightSpace, bracket, gl_label_weight
+from .bmodule import BModule, MissingWeightSpace, gl_label_weight
 
 
 class WitnessNotInvariant(Exception):
@@ -65,52 +65,14 @@ def duality_partner(m, k, r):
     return (2 * n - k, n + r - k)
 
 
-def _n_labels(m):
-    return sorted(("E", a, b) for a in range(m) for b in range(a))
-
-
-def _u_labels(m):
-    return sorted(("E", a, b) for a in range(m) for b in range(a + 1, m))
-
-
-def _g_labels(m):
-    out = [("E", a, b) for a in range(m) for b in range(m) if a != b]
-    out += [("H", i) for i in range(1, m)]
-    return sorted(out)
-
-
-def _b_labels(m):
-    return _n_labels(m) + [("H", i) for i in range(1, m)]
-
-
-@lru_cache(maxsize=None)
-def _act_g(m, i):
-    return {x: bmodule.bracket(m, bmodule.f_label(m, i), x) for x in _g_labels(m)}
-
-
-@lru_cache(maxsize=None)
-def _act_n(m, i):
-    return {x: bmodule.bracket(m, bmodule.f_label(m, i), x) for x in _n_labels(m)}
-
-
-@lru_cache(maxsize=None)
-def _act_u(m, i):
-    upper = set(_u_labels(m))
-    out = {}
-    for x in _u_labels(m):
-        out[x] = {k: v for k, v in bmodule.bracket(m, bmodule.f_label(m, i), x).items()
-                  if k in upper}
-    return out
-
-
 @lru_cache(maxsize=None)
 def _ad_n(m):
     """ad(x) in u (x) n for x in b: sum over gamma of e_gamma (x) [x, f_gamma],
     with e_gamma = E_{ab} the trace-form dual of f_gamma = E_{ba}."""
     out = {}
-    for x in _b_labels(m):
+    for x in bmodule.lie_labels(m, "b"):
         terms = []
-        for f in _n_labels(m):
+        for f in bmodule.lie_labels(m, "n"):
             e = ("E", f[2], f[1])
             for nl, c in bmodule.bracket(m, x, f).items():
                 if not (nl[0] == "E" and nl[1] > nl[2]):
@@ -134,17 +96,17 @@ def _graded_tuples(m, labels, size, strict):
 
 @lru_cache(maxsize=None)
 def _wedge_g_basis(m, a):
-    return _graded_tuples(m, _g_labels(m), a, strict=True)
+    return _graded_tuples(m, bmodule.lie_labels(m, "g"), a, strict=True)
 
 
 @lru_cache(maxsize=None)
 def _wedge_n_basis(m, b):
-    return _graded_tuples(m, _n_labels(m), b, strict=True)
+    return _graded_tuples(m, bmodule.lie_labels(m, "n"), b, strict=True)
 
 
 @lru_cache(maxsize=None)
 def _sym_u_basis(m, p):
-    return _graded_tuples(m, _u_labels(m), p, strict=False)
+    return _graded_tuples(m, bmodule.lie_labels(m, "u"), p, strict=False)
 
 
 def _ambient_params(m, k, r):
@@ -237,7 +199,7 @@ def delta_subspace(m, k, r, mu):
     for p in range(0, pmax + 1):
         sub = ambient_bases(m, k - 1, r + p)
         su = _sym_u_basis(m, p)
-        for x in _b_labels(m):
+        for x in bmodule.lie_labels(m, "b"):
             wx = gl_label_weight(m, x)
             for ws, s_list in su.items():
                 wo = rootdata.sub(rootdata.sub(mu, wx), ws)
@@ -366,14 +328,14 @@ class _FactorTables:
         if kind == 0:
             out = {}
             for t, ul in enumerate(f):
-                for ul2, c in _act_u(m, i)[ul].items():
+                for ul2, c in bmodule.lie_action(m, i, "u")[ul].items():
                     j = self._intern(0, tuple(sorted(f[:t] + (ul2,) + f[t + 1:])))
                     out[j] = out.get(j, 0) + c
             return [(j, c) for j, c in out.items() if c]
         out = []
         for t, x in enumerate(f):
             rest = f[:t] + f[t + 1:]
-            for x2, c in (_act_g if kind == 1 else _act_n)(m, i)[x].items():
+            for x2, c in bmodule.lie_action(m, i, "g" if kind == 1 else "n")[x].items():
                 new, pos = _insert_sorted(rest, x2)
                 if new is None:
                     continue

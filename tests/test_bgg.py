@@ -202,15 +202,29 @@ def test_entries_fold_onto_one_component_across_the_middle():
 def test_parallel_failure_names_its_entry(monkeypatch):
     real = bgg.hodge_entry
 
-    def failing(m, i, j):
+    def failing(m, i, j, method="bgg"):
         if (i, j) == (1, 3):
             raise ZeroDivisionError("boom")
-        return real(m, i, j)
+        return real(m, i, j, method)
 
     # pool workers fork after the patch, so they run it too
     monkeypatch.setattr(bgg, "hodge_entry", failing)
     with pytest.raises(bgg.EntryFailed, match=r"entry \(1, 3\).*ZeroDivisionError: boom"):
         hodge_diamond(3, jobs=2)
+
+
+def test_parallel_ce_failure_names_its_entry(monkeypatch):
+    # the CE route builds complete components; (1, 3) is on V_3^{-4}
+    real = springer.build_vk_component
+
+    def failing(m, k, r, window=None):
+        if (k, r) == (3, 2) and window is None:
+            raise ZeroDivisionError("boom")
+        return real(m, k, r, window=window)
+
+    monkeypatch.setattr(springer, "build_vk_component", failing)
+    with pytest.raises(bgg.EntryFailed, match=r"entry \(1, 3\).*ZeroDivisionError: boom"):
+        hodge_diamond(3, jobs=2, method="ce")
 
 
 def test_arrow_landing_at_the_wrong_weight_raises(monkeypatch):

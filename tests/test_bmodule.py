@@ -9,10 +9,10 @@ import pytest
 
 from springercenter import rootdata
 from springercenter.bmodule import (
-    bracket, gl_label_weight, adjoint_g, sub_n, sub_b, quotient_u,
+    bracket, gl_label_weight, lie_labels, adjoint_g, sub_n, sub_b, quotient_u,
     trivial_module, natural_module, irreducible_module, tensor, wedge,
-    sym, direct_sum, dual, quotient, check_serre, BModule,
-    MissingWeightSpace, NotSubmodule, SerreRelationFails,
+    sym, direct_sum, dual, check_serre, BModule,
+    MissingWeightSpace, SerreRelationFails,
 )
 import springercenter
 
@@ -146,27 +146,14 @@ def test_dual_negates_weights():
     check_serre(d)
 
 
-def test_quotient_u_equals_g_mod_b():
-    for m in (2, 3):
-        g = adjoint_g(m)
-        # quotient by the span of the Cartan and lowering basis vectors
-        vecs = []
-        for mu in g.weights():
-            labels = g.labels(mu)
-            for k, lbl in enumerate(labels):
-                if lbl[0] == "H" or lbl[1] > lbl[2]:
-                    vecs.append((mu, {k: Fraction(1)}))
-        q = quotient(g, vecs)
-        assert q.character() == quotient_u(m).character()
-
-
-def test_quotient_rejects_non_invariant_subspace():
-    g = adjoint_g(3)
-    # a single raising root vector does not span a b-submodule
-    mu = (2, -1)
-    k = g.labels(mu).index(("E", 0, 1))
-    with pytest.raises(NotSubmodule):
-        quotient(g, [(mu, {k: Fraction(1)})])
+def test_lie_labels_are_sorted_and_split_g_into_b_and_u():
+    # springer's wedge bases and _insert_sorted rely on the sorted order
+    for m in (2, 3, 4, 5):
+        g, b, n, u = (lie_labels(m, name) for name in "gbnu")
+        for labels in (g, b, n, u):
+            assert labels == sorted(labels)
+        assert sorted(b + u) == g
+        assert n == [x for x in b if x[0] == "E"]
 
 
 def test_irreducible_module_dimensions():

@@ -187,7 +187,7 @@ def test_compare_dc_matches(tmp_path, monkeypatch, capsys):
 
 def test_verify_all_suites(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code, out, _ = run(["verify", "--m", "3", "--no-cache"], capsys)
+    code, out, _ = run(["verify", "--m", "3"], capsys)
     assert code == 0
     assert "FAIL" not in out
     for name in ("complex", "duality", "sl2", "oracle", "bwb"):
@@ -196,8 +196,7 @@ def test_verify_all_suites(tmp_path, monkeypatch, capsys):
 
 def test_verify_single_suite(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code, out, _ = run(["verify", "--m", "2", "--suite", "duality",
-                        "--no-cache"], capsys)
+    code, out, _ = run(["verify", "--m", "2", "--suite", "duality"], capsys)
     assert code == 0
     assert out.count("PASS") == 1
 
@@ -209,9 +208,9 @@ def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
     computed = []
     real = bgg.hodge_entry
 
-    def counting(m, i, j):
+    def counting(m, i, j, method="bgg"):
         computed.append((m, i, j))
-        return real(m, i, j)
+        return real(m, i, j, method)
 
     monkeypatch.setattr(bgg, "hodge_entry", counting)
     code, out, _ = run(["verify", "--m", "3"], capsys)
@@ -239,7 +238,7 @@ def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
     assert len(built) == len(set(built))
     window = frozenset(bgg.cochain_window(3))
     assert {b for b in built if b[3] == window} == {
-        (3, k, r, window) for (k, r) in cli._diamond_components(3)}
+        (3, *bgg.entry_component(3, i, j), window) for (i, j) in bgg.diamond_entries(3)}
 
 
 def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
@@ -251,7 +250,7 @@ def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
         return real(m, k, r, window=window)
 
     monkeypatch.setattr(springer, "build_vk_component", counting)
-    code, out, _ = run(["verify", "--m", "3", "--suite", "oracle", "--no-cache"], capsys)
+    code, out, _ = run(["verify", "--m", "3", "--suite", "oracle"], capsys)
     assert code == 0
     assert out.startswith("PASS: oracle")
     # each complete component once, although (i, j) and (i, 6 - j) share one
@@ -279,6 +278,46 @@ def test_ce_diamond_builds_each_component_once(monkeypatch, capsys):
             for (i, j) in bgg.diamond_entries(3)}
     assert len(want) == 6
     assert sorted(built) == sorted(want)
+
+
+def _count_entries(monkeypatch):
+    computed = []
+    real = bgg.hodge_entry
+
+    def counting(m, i, j, method="bgg"):
+        computed.append((m, i, j, method))
+        return real(m, i, j, method)
+
+    monkeypatch.setattr(bgg, "hodge_entry", counting)
+    return computed
+
+
+def test_compare_dc_reads_the_cached_diamond(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, _, _ = run(["diamond", "--m", "3"], capsys)
+    assert code == 0
+    computed = _count_entries(monkeypatch)
+    code, out, _ = run(["compare-dc", "--m", "3"], capsys)
+    assert code == 0
+    assert out.endswith("match: yes\n")
+    assert computed == []
+    code, again, _ = run(["compare-dc", "--m", "3", "--no-cache"], capsys)
+    assert (code, again) == (0, out)
+    assert sorted(computed) == sorted(
+        (3, i, j, "bgg") for (i, j) in bgg.diamond_entries(3) if j <= 3)
+
+
+def test_verify_rejects_no_cache(capsys):
+    code, _, _ = run(["verify", "--m", "2", "--no-cache"], capsys)
+    assert code == 1
+
+
+def test_parallel_ce_diamond_matches_serial(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["diamond", "--m", "3", "--method", "ce", "--no-cache"]
+    code, serial, _ = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--jobs", "2"], capsys) == (0, serial, "")
 
 
 def test_bad_usage_exits_1(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from springercenter import rootdata, bgg, springer
+from springercenter import rootdata, bgg, bmodule, springer
 from springercenter.bmodule import sub_n, check_serre, MissingWeightSpace
 from springercenter.exactla import QuotientMap, SparseMatrix
 from springercenter.springer import (
@@ -154,11 +154,11 @@ def _ambient_act(m, i, label):
         if c:
             out[lbl] = out.get(lbl, 0) + c
 
-    au = springer._act_u(m, i)
+    au = bmodule.lie_action(m, i, "u")
     for t, ul in enumerate(mono):
         for ul2, c in au[ul].items():
             accum((tuple(sorted(mono[:t] + (ul2,) + mono[t + 1:])), gset, nset), c)
-    ag = springer._act_g(m, i)
+    ag = bmodule.lie_action(m, i, "g")
     for t, gl in enumerate(gset):
         for gl2, c in ag[gl].items():
             rest = gset[:t] + gset[t + 1:]
@@ -167,7 +167,7 @@ def _ambient_act(m, i, label):
                 continue
             sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
             accum((mono, new, nset), c * sign)
-    an = springer._act_n(m, i)
+    an = bmodule.lie_action(m, i, "n")
     for t, nl in enumerate(nset):
         for nl2, c in an[nl].items():
             rest = nset[:t] + nset[t + 1:]
