@@ -370,7 +370,3 @@ def hodge_diamond(m, jobs=1, method="bgg"):
         if j > n:
             out[(i, j)] = out[(i, 2 * n - j)]
     return out
-
-
-def diamond_total(diamond):
-    return sum(diamond.values())

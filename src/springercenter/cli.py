@@ -11,10 +11,11 @@ Bundle expressions use atoms g, b, n, u, trivial and V(k,r), combined
 with wedge^k(...), sym^p(...), dual(...), the tensor operator (x) and
 the sum operator (+).  Unicode aliases for the operators are accepted.
 
-Results render as json, csv, latex or pretty text on stdout; all
-diagnostics go to stderr.  Exit codes: 0 success/match, 1 computation or
-usage error (including parse errors), 2 a verification or comparison
-mismatch.
+Results go to stdout: diamond renders json, csv, latex or pretty text,
+cohomology json, csv or pretty, compare-dc json or plain lines, and
+verify one PASS/FAIL line per suite of checks.SUITES.  Diagnostics go
+to stderr.  Exit codes: 0 success/match, 1 computation or usage error
+(including parse errors), 2 a verification or comparison mismatch.
 """
 
 import argparse
@@ -28,7 +29,7 @@ import tempfile
 import time
 
 from . import __version__
-from . import rootdata, bmodule, springer, bgg, ce_oracle, coinvariants
+from . import bmodule, springer, bgg, ce_oracle, coinvariants, checks
 
 log = logging.getLogger("springercenter")
 
@@ -416,79 +417,6 @@ def cmd_compare_dc(args):
     return 0
 
 
-def _suite_complex(m, get_diamond):
-    bmodule.check_serre(bmodule.adjoint_g(m))
-    # each diamond entry's cohomology_dims runs check_complex on its
-    # windowed component and raises NotAComplex on failure
-    get_diamond()
-    return True
-
-
-def _suite_duality(m, get_diamond):
-    n = m * (m - 1) // 2
-    diamond = get_diamond()
-    if not all(diamond[(i, j)] == diamond[(i, 2 * n - j)] for (i, j) in diamond):
-        return False
-    seen = set()
-    for j in range(2 * n + 1):
-        for r in range(max(0, j - n), min(j, n) + 1):
-            pair = (j, r)
-            partner = springer.duality_partner(m, j, r)
-            if partner in seen:
-                continue
-            seen.add(pair)
-            if (springer.quotient_character(m, *pair)
-                    != springer.quotient_character(m, *partner)):
-                return False
-    return True
-
-
-def _suite_sl2(m, get_diamond):
-    n = m * (m - 1) // 2
-    diamond = get_diamond()
-    poin = rootdata.poincare_polynomial(m)
-    if [diamond[(i, i)] for i in range(n + 1)] != poin:
-        return False
-    if [diamond[(i, 2 * n - i)] for i in range(n + 1)] != poin:
-        return False
-    if any(diamond[(0, 2 * r)] != 1 for r in range(n + 1)):
-        return False
-    # the raising operator pairs the two wings entry by entry
-    return all(diamond[(i, n - d)] == diamond[(i, n + d)]
-               for d in range(n + 1) for i in range(n + 1)
-               if (i, n - d) in diamond)
-
-
-def _suite_oracle(m, get_diamond):
-    components = {bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)}
-    for k, r in sorted(components):
-        mod = springer.build_vk_component(m, k, r).module
-        if bgg.multiplicity(mod) != ce_oracle.ce_cohomology(mod):
-            return False
-    return True
-
-
-def _suite_bwb(m, get_diamond):
-    import random
-    rng = random.Random(97)
-    for _ in range(200):
-        lam = tuple(rng.randint(-6, 6) for _ in range(m - 1))
-        v = rootdata.to_eps(rootdata.add(lam, rootdata.rho(m)))
-        kind, w, mu = rootdata.bwb_classify(lam)
-        if (kind == "singular") != (len(set(v)) < m):
-            return False
-        if kind == "regular" and (not rootdata.is_dominant(mu)
-                                  or w.dot(lam) != mu):
-            return False
-    # witnesses come along for free with the weight-zero machinery
-    springer.trivial_summand_witness(m)
-    return True
-
-
-_SUITES = [("complex", _suite_complex), ("duality", _suite_duality),
-           ("sl2", _suite_sl2), ("oracle", _suite_oracle), ("bwb", _suite_bwb)]
-
-
 def cmd_verify(args):
     # suites that read the diamond share one computation per run, never
     # read from the cache: the complex suite needs its check_complex runs
@@ -497,20 +425,19 @@ def cmd_verify(args):
         return bgg.hodge_diamond(args.m)
 
     failures = 0
-    for name, fn in _SUITES:
+    for name, fn in checks.SUITES:
         if args.suite not in ("all", name):
             continue
         t0 = time.monotonic()
         try:
-            ok = fn(args.m, get_diamond)
-        except Exception as ex:  # a failed invariant, not a usage error
-            log.error("suite %s crashed: %s", name, ex)
+            fn(args.m, get_diamond)
+            ok = True
+        except Exception as ex:  # a failed invariant or a crash, not a usage error
+            log.error("suite %s failed: %s: %s", name, type(ex).__name__, ex)
             ok = False
-        log.info("suite %s took %.2fs", name, time.monotonic() - t0)
         sys.stdout.write("%s: %s (%.2fs)\n"
                          % ("PASS" if ok else "FAIL", name, time.monotonic() - t0))
-        if not ok:
-            failures += 1
+        failures += not ok
     return 2 if failures else 0
 
 
@@ -521,10 +448,10 @@ def main(argv=None):
     parser.add_argument("--verbose", "-v", action="store_true", help="chatty stderr logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False, cache=True):
+    def common(p, formats=("json", "csv", "latex", "pretty"), jobs=False, cache=True):
         p.add_argument("--m", type=int, required=True, help="rank parameter of sl_m")
-        p.add_argument("--format", default="pretty",
-                       choices=["json", "csv", "latex", "pretty"])
+        if formats:
+            p.add_argument("--format", default="pretty", choices=formats)
         if cache:
             p.add_argument("--no-cache", action="store_true")
         if jobs:
@@ -537,7 +464,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_diamond)
 
     p = sub.add_parser("cohomology", help="multiplicity profile of one bundle")
-    common(p)
+    common(p, formats=("json", "csv", "pretty"))
     p.add_argument("--expr", required=True, help="bundle expression, e.g. 'wedge^2(n) (x) u'")
     p.add_argument("--lam", default=None,
                    help="dominant weight as comma separated fundamental coordinates")
@@ -550,9 +477,9 @@ def main(argv=None):
     p.set_defaults(fn=cmd_compare_dc)
 
     p = sub.add_parser("verify", help="structural self checks")
-    common(p, cache=False)
+    common(p, formats=(), cache=False)
     p.add_argument("--suite", default="all",
-                   choices=["all", "complex", "duality", "sl2", "oracle", "bwb"])
+                   choices=["all"] + [name for name, _ in checks.SUITES])
     p.set_defaults(fn=cmd_verify)
 
     try:

@@ -90,10 +90,6 @@ def _dc_table(m):
     raise AssertionError("DC_%d did not terminate below total degree %d" % (m, cap))
 
 
-def dc_total(m):
-    return sum(dc_table(m).values())
-
-
 def _area_vectors(m):
     """Area sequences of the Dyck paths of size m >= 1: a_1 = 0 and
     0 <= a_{i+1} <= a_i + 1."""

@@ -318,10 +318,6 @@ def rank(mat):
     return _image_reducer(mat).rank
 
 
-def kernel_dim(mat):
-    return mat.ncols - rank(mat)
-
-
 def kernel_basis(mat):
     """Basis of the right kernel, one sparse dict per free column."""
     red = RowReducer()

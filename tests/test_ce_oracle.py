@@ -52,14 +52,3 @@ def test_agrees_with_resolution_on_quotient_components():
     for (m, k, r) in [(2, 1, 1), (2, 2, 1), (3, 2, 1), (3, 1, 0), (3, 3, 2)]:
         mod = springer.build_vk_component(m, k, r).module
         assert ce_cohomology(mod) == bgg.multiplicity(mod)
-
-
-def test_degree_zero_tangent_deformations():
-    # H^1 of the degree-0 tangent component contains h (x) g: the adjoint
-    # representation with multiplicity m-1; H^0 contains one adjoint copy
-    for m, theta in [(3, (1, 1)), (4, (1, 0, 1))]:
-        mod = springer.build_vk_component(m, 1, 0).module
-        prof = ce_cohomology(mod, theta)
-        assert prof[0] == 1
-        assert prof[1] == m - 1
-        assert not any(prof[2:])

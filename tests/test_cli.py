@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import springercenter
 from springercenter import bgg, cli, springer
 from springercenter.cli import (
     parse_expression, render_expression, build_module, ParseError, main,
@@ -201,85 +204,6 @@ def test_verify_single_suite(tmp_path, monkeypatch, capsys):
     assert out.count("PASS") == 1
 
 
-def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
-    # the duality and sl2 suites both read the diamond; it is computed
-    # once per run, and hodge_diamond computes each direct entry once
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    computed = []
-    real = bgg.hodge_entry
-
-    def counting(m, i, j, method="bgg"):
-        computed.append((m, i, j))
-        return real(m, i, j, method)
-
-    monkeypatch.setattr(bgg, "hodge_entry", counting)
-    code, out, _ = run(["verify", "--m", "3"], capsys)
-    assert code == 0
-    assert "FAIL" not in out
-    assert len(computed) == len(set(computed))
-    assert set(computed) == {(3, i, j) for (i, j) in bgg.diamond_entries(3) if j <= 3}
-
-
-def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
-    # the complex suite reuses the shared diamond instead of rebuilding
-    # the windowed components that hodge_entry builds
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    built = []
-    real = springer.build_vk_component
-
-    def counting(m, k, r, window=None):
-        built.append((m, k, r, None if window is None else frozenset(window)))
-        return real(m, k, r, window=window)
-
-    monkeypatch.setattr(springer, "build_vk_component", counting)
-    code, out, _ = run(["verify", "--m", "3"], capsys)
-    assert code == 0
-    assert "FAIL" not in out
-    assert len(built) == len(set(built))
-    window = frozenset(bgg.cochain_window(3))
-    assert {b for b in built if b[3] == window} == {
-        (3, *bgg.entry_component(3, i, j), window) for (i, j) in bgg.diamond_entries(3)}
-
-
-def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
-    built = []
-    real = springer.build_vk_component
-
-    def counting(m, k, r, window=None):
-        built.append((m, k, r, window))
-        return real(m, k, r, window=window)
-
-    monkeypatch.setattr(springer, "build_vk_component", counting)
-    code, out, _ = run(["verify", "--m", "3", "--suite", "oracle"], capsys)
-    assert code == 0
-    assert out.startswith("PASS: oracle")
-    # each complete component once, although (i, j) and (i, 6 - j) share one
-    want = set()
-    for (i, j) in bgg.diamond_entries(3):
-        k = min(j, 6 - j)
-        want.add((3, k, (i + k) // 2, None))
-    assert sorted(built) == sorted(want)
-
-
-def test_ce_diamond_builds_each_component_once(monkeypatch, capsys):
-    built = []
-    real = springer.build_vk_component
-
-    def counting(m, k, r, window=None):
-        built.append((m, k, r, window))
-        return real(m, k, r, window=window)
-
-    monkeypatch.setattr(springer, "build_vk_component", counting)
-    code, out, _ = run(["diamond", "--m", "3", "--method", "ce", "--no-cache"], capsys)
-    assert code == 0
-    assert out.endswith("total 16\n")
-    # 10 entries, but (i, j) and (i, 6 - j) share one complete component
-    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, None)
-            for (i, j) in bgg.diamond_entries(3)}
-    assert len(want) == 6
-    assert sorted(built) == sorted(want)
-
-
 def _count_entries(monkeypatch):
     computed = []
     real = bgg.hodge_entry
@@ -290,6 +214,69 @@ def _count_entries(monkeypatch):
 
     monkeypatch.setattr(bgg, "hodge_entry", counting)
     return computed
+
+
+def _count_builds(monkeypatch):
+    built = []
+    real = springer.build_vk_component
+
+    def counting(m, k, r, window=None):
+        built.append((m, k, r, None if window is None else frozenset(window)))
+        return real(m, k, r, window=window)
+
+    monkeypatch.setattr(springer, "build_vk_component", counting)
+    return built
+
+
+def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
+    # the duality and sl2 suites both read the diamond; it is computed
+    # once per run, and hodge_diamond computes each direct entry once
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    computed = _count_entries(monkeypatch)
+    code, out, _ = run(["verify", "--m", "3"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert sorted(computed) == sorted(
+        (3, i, j, "bgg") for (i, j) in bgg.diamond_entries(3) if j <= 3)
+
+
+def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
+    # the complex suite reuses the shared diamond instead of rebuilding
+    # the windowed components that hodge_entry builds, and the duality
+    # suite builds the component of each mirrored entry (i, j), j > 3
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    built = _count_builds(monkeypatch)
+    code, out, _ = run(["verify", "--m", "3"], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert len(built) == len(set(built))
+    window = frozenset(bgg.cochain_window(3))
+    assert {b for b in built if b[3] == window} == {
+        (3, *bgg.entry_component(3, i, j), window) for (i, j) in bgg.diamond_entries(3)} | {
+        (3, j, (i + j) // 2, window) for (i, j) in bgg.diamond_entries(3) if j > 3}
+
+
+def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
+    built = _count_builds(monkeypatch)
+    code, out, _ = run(["verify", "--m", "3", "--suite", "oracle"], capsys)
+    assert code == 0
+    assert out.startswith("PASS: oracle")
+    # each complete component once, although (i, j) and (i, 6 - j) share one
+    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, None)
+            for (i, j) in bgg.diamond_entries(3)}
+    assert sorted(built) == sorted(want)
+
+
+def test_ce_diamond_builds_each_component_once(monkeypatch, capsys):
+    built = _count_builds(monkeypatch)
+    code, out, _ = run(["diamond", "--m", "3", "--method", "ce", "--no-cache"], capsys)
+    assert code == 0
+    assert out.endswith("total 16\n")
+    # 10 entries, but (i, j) and (i, 6 - j) share one complete component
+    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, None)
+            for (i, j) in bgg.diamond_entries(3)}
+    assert len(want) == 6
+    assert sorted(built) == sorted(want)
 
 
 def test_compare_dc_reads_the_cached_diamond(tmp_path, monkeypatch, capsys):
@@ -310,6 +297,36 @@ def test_compare_dc_reads_the_cached_diamond(tmp_path, monkeypatch, capsys):
 def test_verify_rejects_no_cache(capsys):
     code, _, _ = run(["verify", "--m", "2", "--no-cache"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--m", "2", "--format", "json"],
+                                  ["cohomology", "--m", "2", "--expr", "g", "--format", "latex"]])
+def test_formats_a_command_cannot_render_are_rejected(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (1, "")
+
+
+def test_verify_names_a_mirrored_entry_that_disagrees():
+    # h^{1,5} and its copy h^{1,7} both one too high: the duality suite
+    # recomputes (1, 7) from its own component and names it on stderr
+    code = "\n".join([
+        "import sys",
+        "from springercenter import bgg, cli",
+        "real = bgg.hodge_diamond",
+        "def raised(m, jobs=1, method='bgg'):",
+        "    diamond = real(m, jobs, method)",
+        "    diamond[(1, 5)] += 1",
+        "    diamond[(1, 7)] += 1",
+        "    return diamond",
+        "bgg.hodge_diamond = raised",
+        "sys.exit(cli.main(['verify', '--m', '4', '--suite', 'duality']))",
+    ])
+    src = os.path.dirname(os.path.dirname(springercenter.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("FAIL: duality")
+    assert "entry (1, 7)" in proc.stderr
 
 
 def test_parallel_ce_diamond_matches_serial(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,11 @@
 import itertools
-import random
 
 from hypothesis import given, settings, strategies as st
 
 from springercenter import rootdata
 from springercenter.rootdata import (
     WeylElement, weyl_group, bruhat_graph, bwb_classify, weyl_dim,
-    poincare_polynomial, candidate_highest_weights, to_eps, rho, add,
+    poincare_polynomial, candidate_highest_weights, rho, add,
     simple_root, positive_roots, is_dominant,
 )
 
@@ -105,42 +104,6 @@ def test_dot_action_of_simple_reflection():
             s = WeylElement.simple(m, i)
             # s_i . 0 = -alpha_i
             assert s.dot(zero) == tuple(-c for c in simple_root(m, i))
-
-
-def test_bwb_dominant_regular_identity():
-    rng = random.Random(7)
-    for m in (2, 3, 4):
-        for _ in range(20):
-            lam = tuple(rng.randint(0, 4) for _ in range(m - 1))
-            kind, w, mu = bwb_classify(lam)
-            assert kind == "regular"
-            assert w.length() == 0
-            assert mu == lam
-
-
-def test_bwb_inverts_dot_action():
-    rng = random.Random(11)
-    for m in (2, 3, 4):
-        for w in weyl_group(m):
-            for _ in range(5):
-                lam = tuple(rng.randint(0, 3) for _ in range(m - 1))
-                kind, w2, mu = bwb_classify(w.dot(lam))
-                assert kind == "regular"
-                assert mu == lam
-                assert w2.length() == w.length()
-                assert w2.dot(w.dot(lam)) == lam
-                assert w2.perm == w.inverse().perm
-
-
-def test_bwb_singular_matches_reflection_fixed_points():
-    rng = random.Random(13)
-    for m in (2, 3, 4):
-        for _ in range(200):
-            lam = tuple(rng.randint(-5, 5) for _ in range(m - 1))
-            v = to_eps(add(lam, rho(m)))
-            on_wall = len(set(v)) < m
-            kind, _, _ = bwb_classify(lam)
-            assert (kind == "singular") == on_wall
 
 
 def test_candidate_highest_weights_cover_dot_orbits():

@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import springercenter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_no_bare_asserts_in_the_package():
@@ -27,10 +31,19 @@ def test_no_bare_asserts_in_the_package():
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracer.py wraps package functions by name, so renaming or
     # deleting one would otherwise surface only in a traced benchmark run
-    root = os.path.dirname(os.path.dirname(os.path.dirname(springercenter.__file__)))
     code = ("import sys; sys.path.insert(0, 'perfbench'); "
             "from tracer import Tracer; Tracer('t').install()")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(n for n in os.listdir(os.path.join(ROOT, "demos"))
+                                        if n.endswith(".py")))
+def test_demo_runs(demo, tmp_path):
+    # no test imports the demos, so a renamed public name would break them silently
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

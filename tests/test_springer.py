@@ -60,21 +60,6 @@ def test_quotient_dimensions_are_consistent():
             assert len(amb) - comp.module.weight_dim(mu) <= cut
 
 
-def test_graded_duality_of_characters():
-    # V_k^{-2r} and its partner are isomorphic as graded B-modules, so
-    # in particular their characters agree
-    for m in (2, 3):
-        n = m * (m - 1) // 2
-        for k in range(0, 2 * n + 1):
-            for r in range(max(0, k - n), min(k, n) + 1):
-                k2, r2 = duality_partner(m, k, r)
-                if (k2, r2) < (k, r):
-                    continue
-                a = build_vk_component(m, k, r).module.character()
-                b = build_vk_component(m, k2, r2).module.character()
-                assert a == b, (m, k, r)
-
-
 def test_components_respect_serre_relations():
     for (m, k, r) in [(3, 2, 1), (3, 1, 0), (4, 2, 1)]:
         check_serre(build_vk_component(m, k, r).module)
@@ -100,17 +85,6 @@ def test_projecting_a_vector_where_no_ambient_basis_exists_raises():
         comp.project(empty, {label: 1})
     with pytest.raises(MissingWeightSpace):
         comp.project((8, 8), {label: 1})
-
-
-def test_witness_is_b_invariant():
-    for m in (2, 3, 4):
-        comp, lift = trivial_summand_witness(m)
-        zero = tuple([0] * (m - 1))
-        vec = comp.project(zero, lift)
-        assert vec, "witness projects to zero"
-        for i in range(1, m):
-            mat = comp.module.lower_matrix(i, zero)
-            assert not mat.apply(vec), "witness is not killed by f_%d" % i
 
 
 def test_witness_is_the_poisson_bivector():
