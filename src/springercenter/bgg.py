@@ -20,6 +20,13 @@ weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  The data
 is validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
 
+A diamond entry is one degree i of one component's profile, and H^i
+needs only d_{i-1} and d_i.  So each entry builds its component on the
+weights of layers i-1..i+1 and the weights their arrows pass through,
+and assembles only those three terms.  Clearing (exactla) stays valid
+on the pair, as it needs only d_i d_{i-1} = 0: d_{i-1} is ranked on all
+its columns, and d_i off the pivots of im d_{i-1}.
+
 hodge_diamond is the one diamond driver for both routes: the resolution
 complex here, or the Lie algebra cohomology complex of ce_oracle.
 """
@@ -197,15 +204,17 @@ def bgg_data(m):
 
 
 @lru_cache(maxsize=None)
-def cochain_window(m):
-    """All weights touched while running the complex: node weights plus
-    every intermediate weight along each word of each arrow; built once."""
+def cochain_window(m, lo=0, hi=None):
+    """The weights the complex on layers lo..hi (all layers when hi is
+    None) touches: the node weights of those layers plus every weight
+    that the words of the arrows out of layers lo..hi-1 pass through;
+    built once per range."""
     data = bgg_data(m)
-    window = set()
-    for layer in data.nodes:
-        for word in layer:
-            window.add(data.node_weight(word))
+    hi = len(data.nodes) - 1 if hi is None else hi
+    window = {data.node_weight(word) for layer in data.nodes[lo:hi + 1] for word in layer}
     for (w, _), poly in data.arrows.items():
+        if not lo <= len(w) < hi:
+            continue
         mu = data.node_weight(w)
         for _, word in poly.terms:
             cur = mu
@@ -215,10 +224,16 @@ def cochain_window(m):
     return frozenset(window)
 
 
-def bgg_cochain(e):
+def bgg_cochain(e, lo=0, hi=None):
     """The complex of weight spaces of e with the lowering differentials
     of the resolution of the trivial module, whose cohomology is the
     multiplicity of L_0; multiplicity() sends a nonzero lam elsewhere.
+
+    Only layers lo..hi are built (all of them when hi is None), so term t
+    of the result is term lo + t of the whole complex and e needs only
+    the weights of cochain_window(m, lo, hi).  On a truncation only the
+    interior degrees, and an end that is also an end of the whole
+    complex, give its true cohomology.
 
     The block of an arrow w -> w2 sums coeff times the product of the
     lowering matrices along each word.  Prefix products are shared only
@@ -227,10 +242,11 @@ def bgg_cochain(e):
     """
     m = e.m
     data = bgg_data(m)
+    layers = data.nodes[lo:None if hi is None else hi + 1]
     node_wt = {}
     offsets = []
     dims = []
-    for layer in data.nodes:
+    for layer in layers:
         off = {}
         total = 0
         for word in layer:
@@ -240,17 +256,17 @@ def bgg_cochain(e):
         offsets.append(off)
         dims.append(total)
     maps = []
-    for t in range(len(data.nodes) - 1):
+    for t in range(len(layers) - 1):
         ent = {}
         get = ent.get
-        for w in data.nodes[t]:
+        for w in layers[t]:
             mu = node_wt[w]
             if not e.weight_dim(mu):
                 continue
             col0 = offsets[t][w]
             # word prefix -> (weight reached, product of lowering matrices)
             memo = {}
-            for w2 in data.nodes[t + 1]:
+            for w2 in layers[t + 1]:
                 poly = data.arrows.get((w, w2))
                 if poly is None:
                     continue
@@ -311,25 +327,36 @@ def entry_component(m, i, j):
     return k, (i + k) // 2
 
 
+def profile_degree(m, k, r, i):
+    """Degree i of the resolution profile of V_k^{-2r}, from layers
+    lo = max(i - 1, 0) to hi = min(i + 1, n) only, on cochain_window(m,
+    lo, hi).  d_{i-1} is ranked uncleared and d_i off the pivots of
+    im d_{i-1}; cohomology_dims checks d_i d_{i-1} = 0 first, which
+    keeps that clearing valid."""
+    lo, hi = max(i - 1, 0), min(i + 1, m * (m - 1) // 2)
+    window = cochain_window(m, lo, hi)
+    comp = springer.build_vk_component(m, k, r, window=window)
+    cx = bgg_cochain(comp.module, lo, hi)
+    log.info("V_%d^{-%d} degree %d: window %d weights, module dim %d, maps %s",
+             k, 2 * r, i, len(window), comp.module.dim,
+             ["%dx%d" % (mp.nrows, mp.ncols) for mp in cx.maps])
+    return cx.cohomology_dims()[i - lo]
+
+
 def hodge_entry(m, i, j, method="bgg"):
     """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
     the tangent sheaf, as a multiplicity of the trivial module: degree i
     of the profile of the component entry_component(m, i, j).
 
     method "ce" runs the Lie algebra cohomology complex on the complete
-    component; any other runs the resolution complex ("bgg") on the
-    component built on cochain_window(m)."""
+    component; any other runs the resolution complex ("bgg") on the three
+    terms around degree i only, since H^i needs just d_{i-1} and d_i
+    (profile_degree)."""
     k, r = entry_component(m, i, j)
     if method == "ce":
         from . import ce_oracle
         return ce_oracle.ce_cohomology(springer.build_vk_component(m, k, r).module)[i]
-    window = cochain_window(m)
-    comp = springer.build_vk_component(m, k, r, window=window)
-    cx = bgg_cochain(comp.module)
-    log.info("entry (%d,%d): window %d weights, module dim %d, maps %s",
-             i, j, len(window), comp.module.dim,
-             ["%dx%d" % (mp.nrows, mp.ncols) for mp in cx.maps])
-    return cx.cohomology_dims()[i]
+    return profile_degree(m, k, r, i)
 
 
 class EntryFailed(Exception):

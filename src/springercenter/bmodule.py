@@ -10,8 +10,9 @@ iterated commutators.
 Modules built by the constructors here are "complete": a weight absent
 from the table genuinely has a zero weight space.  The quotient bundles
 constructed in springer.py can be windowed to a subset of weights, in
-which case asking for a matrix into a non-materialized weight raises
-MissingWeightSpace instead of silently returning zero.
+which case asking for the dimension, the labels or a matrix at a
+non-materialized weight raises MissingWeightSpace instead of silently
+returning zero.
 """
 
 import itertools
@@ -106,9 +107,11 @@ class BModule:
         return sorted(self.spaces)
 
     def weight_dim(self, mu):
+        self._require(mu)
         return len(self.spaces.get(mu, ()))
 
     def labels(self, mu):
+        self._require(mu)
         return self.spaces.get(mu, [])
 
     def character(self):

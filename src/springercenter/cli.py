@@ -12,8 +12,8 @@ with wedge^k(...), sym^p(...), dual(...), the tensor operator (x) and
 the sum operator (+).  Unicode aliases for the operators are accepted.
 
 Results go to stdout: diamond renders json, csv, latex or pretty text,
-cohomology json, csv or pretty, compare-dc json or plain lines, and
-verify one PASS/FAIL line per suite of checks.SUITES.  Diagnostics go
+cohomology json, csv or pretty, compare-dc json or pretty plain lines,
+and verify one PASS/FAIL line per suite of checks.SUITES.  Diagnostics go
 to stderr.  Exit codes: 0 success/match, 1 computation or usage error
 (including parse errors), 2 a verification or comparison mismatch.
 """
@@ -419,7 +419,7 @@ def cmd_compare_dc(args):
 
 def cmd_verify(args):
     # suites that read the diamond share one computation per run, never
-    # read from the cache: the complex suite needs its check_complex runs
+    # read from the cache, so they check what this code computes
     @functools.cache
     def get_diamond():
         return bgg.hodge_diamond(args.m)
@@ -473,7 +473,7 @@ def main(argv=None):
 
     p = sub.add_parser("compare-dc", aliases=["compare_dc"],
                        help="diamond vs diagonal coinvariant prediction")
-    common(p, jobs=True)
+    common(p, formats=("json", "pretty"), jobs=True)
     p.set_defaults(fn=cmd_compare_dc)
 
     p = sub.add_parser("verify", help="structural self checks")

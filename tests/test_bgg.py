@@ -19,6 +19,10 @@ from springercenter.bmodule import (
 # direct sl5 diamond entries whose components build in well under a second
 SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
 
+# direct sl5 entries whose three terms take about 0.6 s together
+SL5_CHEAP_ENTRIES = [(0, 4), (3, 5), (4, 6), (5, 5), (5, 7), (6, 6), (6, 8),
+                     (6, 10), (7, 7), (7, 9), (8, 8), (8, 10), (9, 9), (10, 10)]
+
 
 def _assert_arrows_cover_bruhat_graph(m):
     got = set()
@@ -88,8 +92,8 @@ def test_sl5_resolution_route_matches_diagonal_coinvariants():
     _assert_arrows_cover_bruhat_graph(5)
     # each entry runs check_complex, so d.d = 0 is checked on its module
     dc = coinvariants.expected_diamond_from_dc(5)
-    for (i, j) in SL5_ENTRIES:
-        assert hodge_entry(5, i, j) == dc[(i, j)]
+    for (i, j) in SL5_ENTRIES + SL5_CHEAP_ENTRIES:
+        assert hodge_entry(5, i, j) == dc[(i, j)], (i, j)
 
 
 def test_node_layers_match_length_generating_function():
@@ -114,6 +118,18 @@ def test_window_contains_all_node_weights():
         for layer in data.nodes:
             for word in layer:
                 assert data.node_weight(word) in window
+        assert cochain_window(m, 0, m * (m - 1) // 2) == window
+
+
+def test_truncated_degree_matches_the_whole_profile():
+    # every degree of every sl3 and sl4 diamond component, including the
+    # degrees that the diamond never reads
+    for m in (3, 4):
+        n = m * (m - 1) // 2
+        for k, r in {bgg.entry_component(m, i, j) for (i, j) in diamond_entries(m)}:
+            comp = springer.build_vk_component(m, k, r, window=cochain_window(m))
+            profile = multiplicity(comp.module)
+            assert [bgg.profile_degree(m, k, r, i) for i in range(n + 1)] == profile, (m, k, r)
 
 
 def test_trivial_multiplicity_profiles():
@@ -163,19 +179,6 @@ def test_invalid_entry_rejected():
         hodge_entry(3, 0, 1)
     with pytest.raises(ValueError):
         hodge_entry(3, 5, 5)
-
-
-def test_sl2_diamond():
-    assert hodge_diamond(2) == {(0, 0): 1, (1, 1): 1, (0, 2): 1}
-
-
-def test_sl3_diamond():
-    expect = {(0, 0): 1,
-              (1, 1): 2, (0, 2): 1,
-              (2, 2): 2, (1, 3): 3, (0, 4): 1,
-              (3, 3): 1, (2, 4): 2, (1, 5): 2, (0, 6): 1}
-    assert hodge_diamond(3) == expect
-    assert sum(hodge_diamond(3).values()) == 16
 
 
 def test_parallel_diamond_matches_serial():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,19 +242,27 @@ def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
-    # the complex suite reuses the shared diamond instead of rebuilding
-    # the windowed components that hodge_entry builds, and the duality
-    # suite builds the component of each mirrored entry (i, j), j > 3
+    # the complex suite builds every diamond component on the whole
+    # window, hodge_diamond each direct entry's component on the three
+    # terms around its degree, and the duality suite the component of
+    # each mirrored entry (i, j), j > 3, on the same per-degree window
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     built = _count_builds(monkeypatch)
     code, out, _ = run(["verify", "--m", "3"], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert len(built) == len(set(built))
-    window = frozenset(bgg.cochain_window(3))
-    assert {b for b in built if b[3] == window} == {
-        (3, *bgg.entry_component(3, i, j), window) for (i, j) in bgg.diamond_entries(3)} | {
-        (3, j, (i + j) // 2, window) for (i, j) in bgg.diamond_entries(3) if j > 3}
+    entries = bgg.diamond_entries(3)
+    whole = frozenset(bgg.cochain_window(3))
+    near = {i: frozenset(bgg.cochain_window(3, max(i - 1, 0), min(i + 1, 3))) for i in range(4)}
+    want = {(3, *bgg.entry_component(3, i, j), whole) for (i, j) in entries}
+    want |= {(3, *bgg.entry_component(3, i, j), near[i]) for (i, j) in entries if j <= 3}
+    want |= {(3, j, (i + j) // 2, near[i]) for (i, j) in entries if j > 3}
+    windows = {whole, *near.values()}
+    assert {b for b in built if b[3] in windows} == want
+    # the witness suite builds V_2^{-2} on {0, -alpha_1, -alpha_2}, which
+    # is also the degree-0 window of entry (0, 2); nothing else repeats
+    repeats = {b: n for b, n in Counter(built).items() if n > 1}
+    assert repeats == {(3, 2, 1, near[0]): 2}
 
 
 def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
@@ -300,7 +309,9 @@ def test_verify_rejects_no_cache(capsys):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--m", "2", "--format", "json"],
-                                  ["cohomology", "--m", "2", "--expr", "g", "--format", "latex"]])
+                                  ["cohomology", "--m", "2", "--expr", "g", "--format", "latex"],
+                                  ["compare-dc", "--m", "2", "--format", "csv"],
+                                  ["compare-dc", "--m", "2", "--format", "latex"]])
 def test_formats_a_command_cannot_render_are_rejected(argv, capsys):
     code, out, _ = run(argv, capsys)
     assert (code, out) == (1, "")

@@ -74,6 +74,20 @@ def test_windowed_component_matches_complete_on_window():
         assert part.module.weight_dim(mu) == full.module.weight_dim(mu)
 
 
+def test_windowed_component_raises_outside_its_window():
+    # the degree-0 window of sl3 holds layers 0 and 1 only, so -2 rho,
+    # the weight of the top node, is outside it
+    m, k, r = 3, 3, 3
+    comp = build_vk_component(m, k, r, window=bgg.cochain_window(m, 0, 1))
+    top = (-2, -2)
+    assert top not in bgg.cochain_window(m, 0, 1)
+    assert build_vk_component(m, k, r).module.weight_dim(top)
+    with pytest.raises(MissingWeightSpace):
+        comp.module.weight_dim(top)
+    with pytest.raises(MissingWeightSpace):
+        comp.module.labels(top)
+
+
 def test_projecting_a_vector_where_no_ambient_basis_exists_raises():
     m, k, r = 3, 2, 1
     empty = (9, 9)  # far above every ambient weight
