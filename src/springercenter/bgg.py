@@ -8,10 +8,11 @@ the cohomology of the associated sheaf is the cohomology of
 where the differentials act by lowering operators.  The maps between
 terms come from explicit matrices over U(n) acting on the free modules
 by right multiplication; on weight spaces they act by the word-reversed
-elements (dualization is an anti-homomorphism on words).  Each block
-of a differential is assembled as a sum of products of the module's
-lowering matrices along the words, memoised by word prefix with one
-memo per source node.
+elements (dualization is an anti-homomorphism on words), so BGGData
+reverses each arrow's words once, into application order.  Each block
+of a differential is a sum of products of the module's lowering
+matrices along the words, taken from BModule.word_matrices, one call
+per source node.
 
 The resolution of the trivial module is generated for every m: nodes are
 reduced words of Weyl group elements, and the arrow of a Bruhat cover
@@ -35,34 +36,11 @@ import logging
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactla import SparseMatrix, CochainComplex, QuotientMap, canonical, kernel_basis
+from .exactla import SparseMatrix, CochainComplex, QuotientMap, kernel_basis
 from . import rootdata, springer
+from .bmodule import serre_relations
 
 log = logging.getLogger(__name__)
-
-
-class LoweringPolynomial:
-    """A Q-linear combination of words in the lowering generators."""
-
-    def __init__(self, terms):
-        self.terms = [(canonical(c), tuple(w)) for c, w in terms]
-
-    def weight_drop(self, m):
-        drops = set()
-        for _, word in self.terms:
-            d = tuple([0] * (m - 1))
-            for i in word:
-                d = rootdata.add(d, rootdata.simple_root(m, i))
-            drops.add(d)
-        if len(drops) != 1:
-            raise ValueError("inhomogeneous polynomial")
-        return drops.pop()
-
-    def reversed_words(self):
-        return LoweringPolynomial([(c, w[::-1]) for c, w in self.terms])
-
-    def __repr__(self):
-        return "LoweringPolynomial(%r)" % (self.terms,)
 
 
 class _Enveloping:
@@ -71,9 +49,7 @@ class _Enveloping:
 
     def __init__(self, m):
         self.m, self._spaces = m, {}
-        self.relations = [[(1, (i, i, j)), (-2, (i, j, i)), (1, (j, i, i))]
-                          if abs(i - j) == 1 else [(1, (i, j)), (-1, (j, i))]
-                          for i in range(1, m) for j in range(max(i - 1, 1), m) if j != i]
+        self.relations = serre_relations(m)
 
     def space(self, counts):
         """(words in lexicographic order, word -> column, QuotientMap by the
@@ -158,9 +134,13 @@ def _resolution(m):
 
 
 class BGGData:
+    """The resolution's nodes, layer by layer, and its arrows as
+    (w, w2) -> [(coeff, word)], each word in application order (word[0]
+    acts first): the product-order words of the resolution, reversed."""
+
     def __init__(self, m, resolution):
         self.m = m
-        self.arrows = {pair: LoweringPolynomial(terms).reversed_words()
+        self.arrows = {pair: [(c, w[::-1]) for c, w in terms]
                        for pair, terms in resolution.items()}
         max_len = m * (m - 1) // 2
         self.nodes = [[] for _ in range(max_len + 1)]
@@ -191,10 +171,9 @@ class BGGData:
         if len(elems) != len(rootdata.weyl_group(m)):
             raise ValueError("nodes miss Weyl elements")
         weight = {word: self.node_weight(word) for word in elems.values()}
-        for (w, w2), poly in self.arrows.items():
-            drop = poly.weight_drop(m)
-            expect = rootdata.sub(weight[w], weight[w2])
-            if drop != expect:
+        for (w, w2), terms in self.arrows.items():
+            if any(rootdata.lowering_path(m, weight[w], word)[-1] != weight[w2]
+                   for _, word in terms):
                 raise ValueError("arrow %r -> %r has wrong weight" % (w, w2))
 
 
@@ -212,15 +191,11 @@ def cochain_window(m, lo=0, hi=None):
     data = bgg_data(m)
     hi = len(data.nodes) - 1 if hi is None else hi
     window = {data.node_weight(word) for layer in data.nodes[lo:hi + 1] for word in layer}
-    for (w, _), poly in data.arrows.items():
-        if not lo <= len(w) < hi:
-            continue
-        mu = data.node_weight(w)
-        for _, word in poly.terms:
-            cur = mu
-            for i in word:
-                cur = rootdata.sub(cur, rootdata.simple_root(m, i))
-                window.add(cur)
+    for (w, _), terms in data.arrows.items():
+        if lo <= len(w) < hi:
+            mu = data.node_weight(w)
+            for _, word in terms:
+                window.update(rootdata.lowering_path(m, mu, word))
     return frozenset(window)
 
 
@@ -236,9 +211,10 @@ def bgg_cochain(e, lo=0, hi=None):
     complex, give its true cohomology.
 
     The block of an arrow w -> w2 sums coeff times the product of the
-    lowering matrices along each word.  Prefix products are shared only
-    by words from one node, since distinct nodes have distinct weights,
-    so the memo is dropped once the node's arrows are placed.
+    lowering matrices along each word.  The products come from one
+    word_matrices call per source node, on the words of all its arrows:
+    prefixes are shared only within a node, since distinct nodes have
+    distinct weights.
     """
     m = e.m
     data = bgg_data(m)
@@ -264,24 +240,13 @@ def bgg_cochain(e, lo=0, hi=None):
             if not e.weight_dim(mu):
                 continue
             col0 = offsets[t][w]
-            # word prefix -> (weight reached, product of lowering matrices)
-            memo = {}
-            for w2 in layers[t + 1]:
-                poly = data.arrows.get((w, w2))
-                if poly is None:
-                    continue
+            arrows = [(w2, data.arrows[w, w2]) for w2 in layers[t + 1]
+                      if (w, w2) in data.arrows]
+            prods = e.word_matrices(mu, [word for _, terms in arrows for _, word in terms])
+            for w2, terms in arrows:
                 row0 = offsets[t + 1][w2]
-                for coeff, word in poly.terms:
-                    tgt, prod = mu, None
-                    for n in range(1, len(word) + 1):
-                        got = memo.get(word[:n])
-                        if got is None:
-                            i = word[n - 1]
-                            low = e.lower_matrix(i, tgt)
-                            got = memo[word[:n]] = (
-                                rootdata.sub(tgt, rootdata.simple_root(m, i)),
-                                low if prod is None else low.matmul(prod))
-                        tgt, prod = got
+                for coeff, word in terms:
+                    tgt, prod = prods[word]
                     if tgt != node_wt[w2]:
                         raise ValueError("arrow %r -> %r lands at weight %r, not %r"
                                          % (w, w2, tgt, node_wt[w2]))
@@ -374,26 +339,23 @@ def _entry_task(args):
 
 
 def hodge_diamond(m, jobs=1, method="bgg"):
-    """All bigraded dimensions as a dict (i, j) -> h, on the resolution
-    route ("bgg") or the Lie algebra cohomology route ("ce").
+    """All bigraded dimensions as a dict (i, j) -> h in diamond_entries
+    order, on the resolution route ("bgg") or the Lie algebra cohomology
+    route ("ce").
 
     Only the direct entries j <= n are computed, one hodge_entry each
     (in a pool of `jobs` workers when jobs > 1); entry_component is
-    injective on them, so each component is built once.  The entries
-    with j > n are read off their partners (i, 2n - j)."""
+    injective on them, so each component is built once.  They are run
+    from the largest j down, as the costliest entries sit at large j and
+    should not start last in the pool.  The entries with j > n are read
+    off their partners (i, 2n - j)."""
     n = m * (m - 1) // 2
     entries = diamond_entries(m)
-    direct = [(i, j) for (i, j) in entries if j <= n]
-    out = {}
+    direct = sorted([(i, j) for (i, j) in entries if j <= n], key=lambda e: (-e[1], e[0]))
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for key, h in ex.map(_entry_task, [(m, i, j, method) for (i, j) in direct]):
-                out[key] = h
+            got = dict(ex.map(_entry_task, [(m, i, j, method) for (i, j) in direct]))
     else:
-        for (i, j) in direct:
-            out[(i, j)] = hodge_entry(m, i, j, method)
-    for (i, j) in entries:
-        if j > n:
-            out[(i, j)] = out[(i, 2 * n - j)]
-    return out
+        got = {(i, j): hodge_entry(m, i, j, method) for (i, j) in direct}
+    return {(i, j): got[(i, min(j, 2 * n - j))] for (i, j) in entries}

@@ -7,12 +7,16 @@ computations need: the Borel action is generated by the f_i (the torus
 part is the grading itself), and non-simple root vectors act through
 iterated commutators.
 
-Modules built by the constructors here are "complete": a weight absent
-from the table genuinely has a zero weight space.  The quotient bundles
-constructed in springer.py can be windowed to a subset of weights, in
-which case asking for the dimension, the labels or a matrix at a
-non-materialized weight raises MissingWeightSpace instead of silently
-returning zero.
+Modules built by the constructors here are "complete" (window None): a
+weight absent from the table genuinely has a zero weight space.  The
+quotient bundles constructed in springer.py can be windowed to a subset
+of weights, in which case asking for the dimension, the labels or a
+matrix at a weight outside the window raises MissingWeightSpace instead
+of silently returning zero.
+
+A word in the f_i acts through word_matrices, which forms the product
+of the lowering matrices along every prefix of the words it is given;
+serre_relations lists the relations those products must satisfy.
 """
 
 import itertools
@@ -88,16 +92,16 @@ def f_label(m, i):
 
 
 class BModule:
-    def __init__(self, m, spaces, lower, complete=True, name="", known_weights=None):
+    def __init__(self, m, spaces, lower, name="", window=None):
+        """window: the weights a windowed module has materialized, some
+        possibly as zero spaces; None for a complete module."""
         self.m = m
         self.name = name
-        self.complete = complete
+        self.window = None if window is None else frozenset(window)
         self.spaces = {mu: list(lbls) for mu, lbls in spaces.items() if lbls}
         self.lower = lower
         self.index = {mu: {lbl: k for k, lbl in enumerate(lbls)}
                       for mu, lbls in self.spaces.items()}
-        # weights a windowed module has materialized (possibly as zero)
-        self.known_weights = set(known_weights) if known_weights else set(self.spaces)
 
     @property
     def dim(self):
@@ -107,27 +111,26 @@ class BModule:
         return sorted(self.spaces)
 
     def weight_dim(self, mu):
-        self._require(mu)
+        self.require(mu)
         return len(self.spaces.get(mu, ()))
 
     def labels(self, mu):
-        self._require(mu)
+        self.require(mu)
         return self.spaces.get(mu, [])
 
     def character(self):
         return {mu: len(lbls) for mu, lbls in self.spaces.items()}
 
-    def _require(self, mu):
-        if self.complete:
-            return
-        if mu not in self.spaces and mu not in self.known_weights:
+    def require(self, mu):
+        """Raise MissingWeightSpace if mu is outside a windowed module's window."""
+        if self.window is not None and mu not in self.window:
             raise MissingWeightSpace("weight %r not materialized in %s" % (mu, self.name))
 
     def lower_matrix(self, i, mu):
         """Matrix of f_i from the mu weight space to the mu - alpha_i one."""
         target = rootdata.sub(mu, rootdata.simple_root(self.m, i))
-        self._require(mu)
-        self._require(target)
+        self.require(mu)
+        self.require(target)
         key = (i, mu)
         if key in self.lower:
             return self.lower[key]
@@ -137,19 +140,28 @@ class BModule:
         target = rootdata.sub(mu, rootdata.simple_root(self.m, i))
         return target, self.lower_matrix(i, mu).apply(vec)
 
-    def apply_word(self, word, mu, vec):
-        """Apply the generators in the order listed: word[0] acts first.
+    def word_matrices(self, mu, words):
+        """prefix -> (weight reached, matrix) for every prefix of the words
+        of f_i's from the mu weight space, word[0] acting first.  This is
+        the one place where products along words are formed: each prefix
+        is multiplied once, onto its longest proper prefix, and the memo
+        lives only as long as the call."""
+        memo = {}
+        for word in words:
+            for n in range(1, len(word) + 1):
+                if word[:n] in memo:
+                    continue
+                i = word[n - 1]
+                src, prod = memo[word[:n - 1]] if n > 1 else (mu, None)
+                low = self.lower_matrix(i, src)
+                memo[word[:n]] = (rootdata.sub(src, rootdata.simple_root(self.m, i)),
+                                  low if prod is None else low.matmul(prod))
+        return memo
 
-        Cochain-side lowering words are stored in application order (the
-        reverse of how the product is written on the free-module side)."""
-        for i in word:
-            mu, vec = self.apply_lower(i, mu, vec)
-        return mu, vec
-
-    def apply_lowering_polynomial(self, poly, mu, vec):
-        """poly is a LoweringPolynomial (or its term list); all terms must
-        share a weight drop."""
-        terms = poly.terms if hasattr(poly, "terms") else poly
+    def apply_lowering_polynomial(self, terms, mu, vec):
+        """Apply sum coeff * word over (coeff, word) terms to vec, one
+        generator at a time, word[0] acting first; all words must share a
+        weight drop."""
         drop = None
         total = {}
         out_mu = None
@@ -169,7 +181,9 @@ class BModule:
     def root_lower_matrix(self, root, mu):
         """Matrix of the negative root vector f_{(a,b)} = E_{b,a} on the mu
         weight space, via f_{(a,b)} = [f_b, f_{(a,b-1)}] (0-indexed root
-        (a,b), 1-indexed simple generators)."""
+        (a,b), 1-indexed simple generators).  The nested bracket takes
+        fewer products than running its expansion into words through
+        word_matrices."""
         a, b = root
         if b == a + 1:
             return self.lower_matrix(b, mu)
@@ -211,7 +225,7 @@ def _module_from_action(m, labeled, act, name=""):
                     ent[(index[target][out_lbl], col)] = c
             if ent:
                 lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
-    return BModule(m, spaces, lower, complete=True, name=name)
+    return BModule(m, spaces, lower, name=name)
 
 
 def lie_labels(m, name):
@@ -486,43 +500,36 @@ def irreducible_module(m, lam):
     return mod
 
 
+def serre_relations(m):
+    """The Serre relations of U(n^-) as lists of (coeff, word): for
+    |i-j| == 1, f_i^2 f_j - 2 f_i f_j f_i + f_j f_i^2, and for |i-j| >= 2
+    the commutator of f_i and f_j, once per pair.  Reversing the words
+    maps each relation to plus or minus itself, so the words read as
+    products or in application order alike."""
+    return [[(1, (i, i, j)), (-2, (i, j, i)), (1, (j, i, i))]
+            if abs(i - j) == 1 else [(1, (i, j)), (-1, (j, i))]
+            for i in range(1, m) for j in range(max(i - 1, 1), m) if j != i]
+
+
 def check_serre(mod):
     """Verify the Serre relations for the stored lowering matrices.
 
-    For |i-j| == 1: f_i^2 f_j - 2 f_i f_j f_i + f_j f_i^2 = 0; for
-    |i-j| >= 2 the operators commute.  Returns the number of weight
-    spaces checked; raises SerreRelationFails on failure.
+    Returns the number of (weight space, relation) pairs checked; raises
+    SerreRelationFails on failure.
     """
-    m = mod.m
+    relations = serre_relations(mod.m)
+    words = [word for rel in relations for _, word in rel]
     checked = 0
-
-    def word_matrix(word, mu):
-        cur = mu
-        mats = []
-        for i in reversed(word):
-            mats.append(mod.lower_matrix(i, cur))
-            cur = rootdata.sub(cur, rootdata.simple_root(m, i))
-        out = mats[0]
-        for mt in mats[1:]:
-            out = mt.matmul(out)
-        return out
-
     for mu in mod.spaces:
-        for i in range(1, m):
-            for j in range(1, m):
-                if i == j:
-                    continue
-                if abs(i - j) >= 2:
-                    combo = [(1, (i, j)), (-1, (j, i))]
-                else:
-                    combo = [(1, (i, i, j)), (-2, (i, j, i)), (1, (j, i, i))]
-                acc = {}
-                for coeff, word in combo:
-                    mt = word_matrix(word, mu)
-                    for k, v in mt.entries.items():
-                        acc[k] = acc.get(k, 0) + coeff * v
-                if any(acc.values()):
-                    raise SerreRelationFails(
-                        "Serre relation (%d,%d) fails at weight %r" % (i, j, mu))
-                checked += 1
+        prods = mod.word_matrices(mu, words)
+        for rel in relations:
+            acc = {}
+            for coeff, word in rel:
+                for k, v in prods[word][1].entries.items():
+                    acc[k] = acc.get(k, 0) + coeff * v
+            if any(acc.values()):
+                i, j = rel[0][1][0], rel[0][1][-1]
+                raise SerreRelationFails(
+                    "Serre relation (%d,%d) fails at weight %r" % (i, j, mu))
+            checked += 1
     return checked

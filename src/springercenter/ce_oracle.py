@@ -44,7 +44,7 @@ def ce_cohomology(e, lam=None):
     """Multiplicity profile of L_lam in the sheaf cohomology of e, via
     weight-zero Lie algebra cohomology.  e must be a complete module."""
     m = e.m
-    if not e.complete:
+    if e.window is not None:
         raise ValueError("need a complete module (all weight spaces known)")
     zero = tuple([0] * (m - 1))
     if lam is None or lam == zero:
@@ -115,15 +115,13 @@ def ce_cohomology(e, lam=None):
     return CochainComplex(dims, maps).cohomology_dims()
 
 
-def full_decomposition(e, max_candidate_dim=None):
+def full_decomposition(e):
     """All simple constituents of the sheaf cohomology of e with their
     multiplicity profiles: dict lam -> list of dims per degree."""
     m = e.m
     cands = rootdata.candidate_highest_weights(m, list(e.spaces))
     out = {}
     for lam in sorted(cands):
-        if max_candidate_dim is not None and rootdata.weyl_dim(lam) > max_candidate_dim:
-            raise ValueError("candidate %r exceeds the dimension budget" % (lam,))
         profile = ce_cohomology(e, lam)
         if any(profile):
             out[lam] = profile

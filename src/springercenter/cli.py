@@ -358,8 +358,11 @@ def cmd_cohomology(args):
     if lam is not None and len(lam) != args.m - 1:
         log.error("lam needs %d coordinates", args.m - 1)
         return 1
+    # the resolution is generated for lam = 0 only, so bgg.multiplicity
+    # runs a nonzero lam on the Lie algebra cohomology route
+    method = "ce" if lam is not None and any(lam) else args.method
     payload = {"cmd": "cohomology", "m": args.m, "expr": render_expression(node),
-               "lam": lam, "method": args.method, "version": __version__}
+               "lam": lam, "method": method, "version": __version__}
 
     def valid(res):
         return (isinstance(res, dict) and isinstance(res.get("expr"), str)
@@ -369,13 +372,13 @@ def cmd_cohomology(args):
     result = None if args.no_cache else cache_get(payload, valid)
     if result is None:
         mod = build_module(args.m, node)
-        if args.method == "ce":
+        if method == "ce":
             profile = ce_oracle.ce_cohomology(mod, lam)
         else:
             profile = bgg.multiplicity(mod, lam)
         result = {"m": args.m, "expr": render_expression(node),
                   "lam": list(lam) if lam else None,
-                  "method": args.method, "profile": profile,
+                  "method": method, "profile": profile,
                   "tool_version": __version__}
         if not args.no_cache:
             cache_put(payload, result)

@@ -67,22 +67,15 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        """Build from a list of dense rows (lists) or sparse rows (dicts)."""
-        nrows = len(rows)
+        """Build from a list of sparse rows (dicts col -> value)."""
         entries = {}
         width = ncols or 0
         for r, row in enumerate(rows):
-            if isinstance(row, dict):
-                for c, v in row.items():
-                    if v:
-                        entries[(r, c)] = v
-                        width = max(width, c + 1)
-            else:
-                width = max(width, len(row))
-                for c, v in enumerate(row):
-                    if v:
-                        entries[(r, c)] = v
-        return cls(nrows, width, entries)
+            for c, v in row.items():
+                if v:
+                    entries[(r, c)] = v
+                    width = max(width, c + 1)
+        return cls(len(rows), width, entries)
 
     def _columns(self):
         """col -> flat list row, value, row, value, ... of the stored
@@ -93,9 +86,6 @@ class SparseMatrix:
                 cols.setdefault(c, []).extend((r, v))
             self._cols = cols
         return self._cols
-
-    def row(self, r):
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
 
     def rows(self):
         out = [dict() for _ in range(self.nrows)]

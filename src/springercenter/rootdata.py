@@ -60,6 +60,15 @@ def sub(lam, mu):
     return tuple(x - y for x, y in zip(lam, mu))
 
 
+def lowering_path(m, mu, word):
+    """The weights from mu that the word of f_i's passes through, word[0]
+    acting first: mu, mu - alpha_{word[0]}, ..., the weight it lands at."""
+    path = [mu]
+    for i in word:
+        path.append(sub(path[-1], simple_root(m, i)))
+    return path
+
+
 def is_dominant(lam):
     return all(c >= 0 for c in lam)
 

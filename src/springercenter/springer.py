@@ -47,7 +47,7 @@ from functools import lru_cache
 from .exactla import SparseMatrix, kernel_basis
 from . import rootdata
 from . import bmodule
-from .bmodule import BModule, MissingWeightSpace, gl_label_weight
+from .bmodule import BModule, gl_label_weight
 
 
 class WitnessNotInvariant(Exception):
@@ -442,12 +442,9 @@ class VkComponent:
         self.m, self.k, self.r = m, k, r
         tables = self._tables = _factor_tables(m)
         bases = tables.kept_bases(k, r, window)
-        complete = window is None
-        window = set(bases) if window is None else set(window)
-        self.window = window
         self._index = {}
         spaces, keys = {}, {}
-        for mu in window:
+        for mu in set(bases) if window is None else set(window):
             got = bases.get(mu)
             if got is None:
                 continue
@@ -464,15 +461,14 @@ class VkComponent:
                 ent = tables.lowering(i, keys[mu], self._index[target])
                 if ent:
                     lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
-        self.module = BModule(m, spaces, lower, complete=complete,
-                              name="V_%d^{-%d}" % (k, 2 * r),
-                              known_weights=window)
+        self.module = BModule(m, spaces, lower, name="V_%d^{-%d}" % (k, 2 * r),
+                              window=window)
 
     def project(self, mu, label_vec):
         """Project an ambient vector, given as dict label -> coeff, to
-        quotient coordinates at weight mu."""
-        if mu not in self.window:
-            raise MissingWeightSpace("weight %r outside window" % (mu,))
+        quotient coordinates at weight mu; the module raises
+        MissingWeightSpace when mu is outside its window."""
+        self.module.require(mu)
         if mu not in self._index:
             if label_vec:
                 raise ValueError("nonzero vector at weight %r, where V_%d^{-%d} has "

@@ -6,14 +6,16 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from springercenter import rootdata
 from springercenter.bmodule import (
     bracket, gl_label_weight, lie_labels, adjoint_g, sub_n, sub_b, quotient_u,
     trivial_module, natural_module, irreducible_module, tensor, wedge,
-    sym, direct_sum, dual, check_serre, BModule,
+    sym, direct_sum, dual, check_serre, serre_relations, BModule,
     MissingWeightSpace, SerreRelationFails,
 )
+from springercenter.exactla import SparseMatrix
 import springercenter
 
 
@@ -97,24 +99,52 @@ def test_adjoint_lowering_matches_bracket():
 
 
 def test_natural_module_lowering_chain():
-    m = 4
-    nat = natural_module(m)
-    vec = {0: Fraction(1)}
-    mu = nat.weights()[-1]
     # f_1 v_0 = v_1, then f_2 v_1 = v_2, then f_3 v_2 = v_3
-    tgt, vec = nat.apply_word((1, 2, 3), rootdata.from_eps([1, 0, 0, 0]), vec)
-    assert vec == {0: Fraction(1)}
+    nat = natural_module(4)
+    tgt, mat = nat.word_matrices(rootdata.from_eps([1, 0, 0, 0]), [(1, 2, 3)])[(1, 2, 3)]
     assert tgt == rootdata.from_eps([0, 0, 0, 1])
+    assert mat.entries == {(0, 0): 1}
 
 
-def test_apply_word_is_left_to_right_composition():
-    g = adjoint_g(3)
-    mu = (1, 1)  # highest root
-    vec = {0: Fraction(1)}
-    t1, v1 = g.apply_lower(1, mu, vec)
-    t2, v2 = g.apply_lower(2, t1, v1)
-    tw, vw = g.apply_word((1, 2), mu, {0: Fraction(1)})
-    assert (tw, vw) == (t2, v2)
+_WORD_MODULES = {
+    "g4": adjoint_g(4),
+    "n3 (x) u3": tensor(sub_n(3), quotient_u(3)),
+    "natural4": natural_module(4),
+    "g3": adjoint_g(3),
+}
+
+
+@st.composite
+def _module_weight_words(draw):
+    """A module, one of its weights, and words in its f_i that share a
+    random stem, so that one call gets words with common prefixes."""
+    name = draw(st.sampled_from(sorted(_WORD_MODULES)))
+    mod = _WORD_MODULES[name]
+    letters = st.integers(1, mod.m - 1)
+    stem = draw(st.lists(letters, max_size=3))
+    tails = st.lists(letters, min_size=1, max_size=3)
+    words = draw(st.lists(tails.map(lambda tail: tuple(stem + tail)), min_size=1, max_size=4))
+    return name, draw(st.sampled_from(mod.weights())), words
+
+
+@given(_module_weight_words())
+@example(("natural4", rootdata.from_eps([1, 0, 0, 0]), [(1, 2, 3)]))
+@example(("g3", (1, 1), [(1, 2), (2, 1)]))
+@settings(max_examples=60, deadline=None)
+def test_word_products_are_chained_lowering_on_unit_vectors(case):
+    # word[0] acts first: every prefix product, on each unit vector,
+    # equals applying the letters one at a time with apply_lower
+    name, mu, words = case
+    mod = _WORD_MODULES[name]
+    prods = mod.word_matrices(mu, words)
+    assert set(prods) == {w[:n] for w in words for n in range(1, len(w) + 1)}
+    for prefix, (tgt, mat) in prods.items():
+        for col in range(mod.weight_dim(mu)):
+            cur, vec = mu, {col: 1}
+            for i in prefix:
+                cur, vec = mod.apply_lower(i, cur, vec)
+            assert tgt == cur
+            assert {r: v for (r, c), v in mat.entries.items() if c == col} == vec
 
 
 def test_tensor_wedge_sym_dimensions():
@@ -173,8 +203,7 @@ def test_irreducible_adjoint_matches_adjoint_character():
 
 def test_incomplete_module_raises_outside_window():
     g = adjoint_g(3)
-    windowed = BModule(3, {mu: g.labels(mu) for mu in [(1, 1)]},
-                       {}, complete=False, known_weights={(1, 1)})
+    windowed = BModule(3, {mu: g.labels(mu) for mu in [(1, 1)]}, {}, window={(1, 1)})
     with pytest.raises(MissingWeightSpace):
         windowed.lower_matrix(1, (0, 0))
 
@@ -188,6 +217,26 @@ mat = mod.lower[key]
 mod.lower[key] = SparseMatrix(mat.nrows, mat.ncols,
                               {rc: 2 * v for rc, v in mat.entries.items()})
 """
+
+
+def test_check_serre_raises_when_distant_generators_fail_to_commute():
+    # four lines at mu, mu - alpha_1, mu - alpha_3, mu - alpha_1 - alpha_3:
+    # f_3 f_1 = 2 but f_1 f_3 = 1 on mu, while f_2 is zero, so every
+    # relation with |i - j| = 1 holds
+    m, mu = 4, (0, 0, 0)
+    a1, a3 = rootdata.simple_root(m, 1), rootdata.simple_root(m, 3)
+    both = rootdata.sub(rootdata.sub(mu, a1), a3)
+    spaces = {mu: ["a"], rootdata.sub(mu, a1): ["b"], rootdata.sub(mu, a3): ["c"],
+              both: ["d"]}
+    lower = {(1, mu): SparseMatrix(1, 1, {(0, 0): 1}),
+             (3, mu): SparseMatrix(1, 1, {(0, 0): 1}),
+             (1, rootdata.sub(mu, a3)): SparseMatrix(1, 1, {(0, 0): 1}),
+             (3, rootdata.sub(mu, a1)): SparseMatrix(1, 1, {(0, 0): 2})}
+    failure = r"Serre relation \(1,3\) fails at weight \(0, 0, 0\)"
+    with pytest.raises(SerreRelationFails, match=failure):
+        check_serre(BModule(m, spaces, lower))
+    lower[(3, rootdata.sub(mu, a1))] = SparseMatrix(1, 1, {(0, 0): 1})
+    assert check_serre(BModule(m, spaces, lower)) == 4 * len(serre_relations(m))
 
 
 def test_check_serre_raises_on_a_doubled_lowering_matrix():

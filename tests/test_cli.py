@@ -161,6 +161,18 @@ def test_cohomology_ce_method_agrees(tmp_path, monkeypatch, capsys):
     assert json.loads(a)["profile"] == json.loads(b)["profile"]
 
 
+def test_cohomology_at_nonzero_lam_reports_the_route_it_ran(tmp_path, monkeypatch, capsys):
+    # the resolution is generated for lam = 0 only, so --method bgg at a
+    # nonzero lam runs the Lie algebra cohomology route and is cached as it
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    base = ["cohomology", "--m", "3", "--expr", "u", "--lam", "1,1", "--format", "json"]
+    _, a, _ = run(base + ["--method", "bgg"], capsys)
+    _, b, _ = run(base + ["--method", "ce"], capsys)
+    assert json.loads(a)["method"] == json.loads(b)["method"] == "ce"
+    assert json.loads(a)["profile"] == json.loads(b)["profile"] == [1, 0, 0, 0]
+    assert len(os.listdir(tmp_path)) == 1
+
+
 def test_bad_expression_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(["cohomology", "--m", "3", "--expr", "bogus"], capsys)
