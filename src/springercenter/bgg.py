@@ -36,7 +36,7 @@ import logging
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactla import SparseMatrix, CochainComplex, QuotientMap, kernel_basis
+from .exactla import SparseMatrix, CochainComplex, RowReducer, kernel_basis
 from . import rootdata, springer
 from .bmodule import serre_relations
 
@@ -52,20 +52,24 @@ class _Enveloping:
         self.relations = serre_relations(m)
 
     def space(self, counts):
-        """(words in lexicographic order, word -> column, QuotientMap by the
-        ideal: each relation times every word, and f_i times the ideal)."""
+        """(words in lexicographic order, word -> column, RowReducer of
+        the ideal: each relation times every word, and f_i times the
+        ideal).  The words off its pivots are a basis of the quotient."""
         if counts not in self._spaces:
             lower = [(i, self.space(counts[:i - 1] + (counts[i - 1] - 1,) + counts[i:]))
                      for i in range(1, self.m) if counts[i - 1]]
             words = [(i,) + w for i, (ws, _, _) in lower for w in ws] or [()]
             index = {w: c for c, w in enumerate(words)}
             vectors = [{index[(i,) + ws[c]]: v for c, v in row.items()}
-                       for i, (ws, _, quo) in lower for row in quo.reducer.echelon.values()]
+                       for i, (ws, _, red) in lower for row in red.echelon.values()]
             for rel in self.relations:
                 rest = tuple(n - rel[0][1].count(i + 1) for i, n in enumerate(counts))
                 if min(rest) >= 0:
                     vectors += [{index[s + w]: c for c, s in rel} for w in self.space(rest)[0]]
-            self._spaces[counts] = (words, index, QuotientMap(len(words), vectors))
+            red = RowReducer()
+            for vec in vectors:
+                red.add(vec)
+            self._spaces[counts] = (words, index, red)
         return self._spaces[counts]
 
     def line(self, columns):
@@ -74,11 +78,11 @@ class _Enveloping:
         rows = {}
         for col, combos in enumerate(columns):
             for key, terms in combos.items():
-                _, index, quo = self.space(tuple(terms[0][1].count(i) for i in range(1, self.m)))
+                _, index, red = self.space(tuple(terms[0][1].count(i) for i in range(1, self.m)))
                 vec = {}
                 for c, w in terms:
                     vec[index[w]] = vec.get(index[w], 0) + c
-                for r, v in quo.reducer.reduce(vec).items():
+                for r, v in red.reduce(vec).items():
                     rows.setdefault((key, r), {})[col] = v
         kernel = kernel_basis(SparseMatrix.from_rows(list(rows.values()), len(columns)))
         if len(kernel) != 1:
@@ -91,8 +95,8 @@ class _Enveloping:
         """The u of weight `counts` with u v_mu singular in M(mu), on the kept
         words.  As [e_j, f_i] = delta_ij h_j, e_j f_{i_1} ... f_{i_h} v_mu sums
         over i_p = j the word without f_{i_p} times <mu - sum_{q>p} alpha_{i_q}, alpha_j^vee>."""
-        words, _, quo = self.space(counts)
-        kept = [words[c] for c in quo.kept]
+        words, _, red = self.space(counts)
+        kept = [w for c, w in enumerate(words) if c not in red.echelon]
         columns = [{} for _ in kept]
         for combos, word in zip(columns, kept):
             for j in set(word):
@@ -134,9 +138,10 @@ def _resolution(m):
 
 
 class BGGData:
-    """The resolution's nodes, layer by layer, and its arrows as
-    (w, w2) -> [(coeff, word)], each word in application order (word[0]
-    acts first): the product-order words of the resolution, reversed."""
+    """The resolution's nodes, layer by layer, each node's weight w.0 as
+    weight[word], and its arrows as (w, w2) -> [(coeff, word)], each word
+    in application order (word[0] acts first): the product-order words
+    of the resolution, reversed."""
 
     def __init__(self, m, resolution):
         self.m = m
@@ -154,12 +159,9 @@ class BGGData:
             layer.sort()
         self._validate()
 
-    def node_weight(self, word):
-        return rootdata.WeylElement.from_word(self.m, word).dot((0,) * (self.m - 1))
-
     def _validate(self):
         m = self.m
-        elems = {}
+        elems, self.weight = {}, {}
         for length, layer in enumerate(self.nodes):
             for word in layer:
                 w = rootdata.WeylElement.from_word(m, word)
@@ -168,11 +170,11 @@ class BGGData:
                 if w.perm in elems:
                     raise ValueError("duplicate node %r" % (word,))
                 elems[w.perm] = word
+                self.weight[word] = w.dot((0,) * (m - 1))
         if len(elems) != len(rootdata.weyl_group(m)):
             raise ValueError("nodes miss Weyl elements")
-        weight = {word: self.node_weight(word) for word in elems.values()}
         for (w, w2), terms in self.arrows.items():
-            if any(rootdata.lowering_path(m, weight[w], word)[-1] != weight[w2]
+            if any(rootdata.lowering_path(m, self.weight[w], word)[-1] != self.weight[w2]
                    for _, word in terms):
                 raise ValueError("arrow %r -> %r has wrong weight" % (w, w2))
 
@@ -190,10 +192,10 @@ def cochain_window(m, lo=0, hi=None):
     built once per range."""
     data = bgg_data(m)
     hi = len(data.nodes) - 1 if hi is None else hi
-    window = {data.node_weight(word) for layer in data.nodes[lo:hi + 1] for word in layer}
+    window = {data.weight[word] for layer in data.nodes[lo:hi + 1] for word in layer}
     for (w, _), terms in data.arrows.items():
         if lo <= len(w) < hi:
-            mu = data.node_weight(w)
+            mu = data.weight[w]
             for _, word in terms:
                 window.update(rootdata.lowering_path(m, mu, word))
     return frozenset(window)
@@ -219,16 +221,15 @@ def bgg_cochain(e, lo=0, hi=None):
     m = e.m
     data = bgg_data(m)
     layers = data.nodes[lo:None if hi is None else hi + 1]
-    node_wt = {}
+    weight = data.weight
     offsets = []
     dims = []
     for layer in layers:
         off = {}
         total = 0
         for word in layer:
-            node_wt[word] = data.node_weight(word)
             off[word] = total
-            total += e.weight_dim(node_wt[word])
+            total += e.weight_dim(weight[word])
         offsets.append(off)
         dims.append(total)
     maps = []
@@ -236,7 +237,7 @@ def bgg_cochain(e, lo=0, hi=None):
         ent = {}
         get = ent.get
         for w in layers[t]:
-            mu = node_wt[w]
+            mu = weight[w]
             if not e.weight_dim(mu):
                 continue
             col0 = offsets[t][w]
@@ -247,9 +248,9 @@ def bgg_cochain(e, lo=0, hi=None):
                 row0 = offsets[t + 1][w2]
                 for coeff, word in terms:
                     tgt, prod = prods[word]
-                    if tgt != node_wt[w2]:
+                    if tgt != weight[w2]:
                         raise ValueError("arrow %r -> %r lands at weight %r, not %r"
-                                         % (w, w2, tgt, node_wt[w2]))
+                                         % (w, w2, tgt, weight[w2]))
                     for (r, c), v in prod.entries.items():
                         key = (row0 + r, col0 + c)
                         ent[key] = get(key, 0) + coeff * v

@@ -100,8 +100,6 @@ class BModule:
         self.window = None if window is None else frozenset(window)
         self.spaces = {mu: list(lbls) for mu, lbls in spaces.items() if lbls}
         self.lower = lower
-        self.index = {mu: {lbl: k for k, lbl in enumerate(lbls)}
-                      for mu, lbls in self.spaces.items()}
 
     @property
     def dim(self):

@@ -125,33 +125,6 @@ def pf_table(m):
     return out
 
 
-def coinvariant_table(m):
-    """Graded dims of the one-variable-set coinvariant algebra
-    Q[x_1..x_m]/(p_1,...,p_m), as a coefficient list."""
-    out = []
-    cap = m * m + 2
-    for d in range(cap + 1):
-        monos = list(_compositions(d, m))
-        idx = {mono: k for k, mono in enumerate(monos)}
-        rows = []
-        for a in range(1, m + 1):
-            if a > d:
-                continue
-            for xe in _compositions(d - a, m):
-                row = {}
-                for t in range(m):
-                    xs = list(xe)
-                    xs[t] += a
-                    col = idx[tuple(xs)]
-                    row[col] = row.get(col, 0) + 1
-                rows.append(row)
-        dim = _slice_dim(len(monos), rows)
-        if d > 0 and dim == 0:
-            return out
-        out.append(dim)
-    raise AssertionError("coinvariants of S_%d did not terminate" % m)
-
-
 def expected_diamond_from_dc(m):
     """The diamond predicted by the diagonal coinvariants: the (i, j)
     entry reads off the DC_m dimension in bidegree

@@ -270,24 +270,6 @@ class RowReducer:
         return {k: vec[p] for k, p in enumerate(sorted(self.echelon)) if p in vec}
 
 
-class QuotientMap:
-    """Projection of Q^ncols onto its quotient by the span of some vectors.
-
-    The kept (non-pivot) columns, in ascending order, index a basis of
-    the quotient; project() gives a vector's coordinates in that basis.
-    """
-
-    def __init__(self, ncols, vectors):
-        self.reducer = RowReducer()
-        for vec in vectors:
-            self.reducer.add(vec)
-        self.kept = [c for c in range(ncols) if c not in self.reducer.echelon]
-        self._col = {c: k for k, c in enumerate(self.kept)}
-
-    def project(self, vec):
-        return {self._col[c]: v for c, v in self.reducer.reduce(vec).items()}
-
-
 def _image_reducer(mat, cleared=()):
     """RowReducer holding the images mat(e_j) of the basis vectors e_j
     for the columns j not in cleared; its pivots are the leading

@@ -20,7 +20,7 @@ in u (no H_i and no E_ab with a > b), and an ambient label projects by
 replacing one b factor at a time by -y_x until none is left.  These are
 the non-pivot labels, and the same representatives, that eliminating
 delta_subspace() gives: the inclusion term x ^ omega of each spanning
-vector has the most g factors, so it leads in the ambient_bases order.
+vector has the most g factors, so it leads in the order of _blocks.
 
 The lowering matrices are read off per-factor tables, not off the
 labels.  f_i acts as a derivation on S(u) (x) wedge(g) (x) wedge(n), so
@@ -30,9 +30,14 @@ g-set goes to -h_i, and substituting -y_{h_i} for it puts one factor
 more into the monomial and into the n-set.  _FactorTables interns each
 factor of sl_m as a small int and memoises these images per factor id,
 so VkComponent keys each weight's index by id triples, and its build
-neither acts on nor substitutes in a nested label.  It enumerates the
-kept labels directly instead of filtering ambient_bases.  project()
-still substitutes label by label, for the witness and the tests.
+neither acts on nor substitutes in a nested label.  project() still
+substitutes label by label, for the witness and the tests.
+
+Every label list, ambient or kept, comes from one walker, _blocks, over
+the graded bases of the three factors (_graded), so the kept labels at a
+weight are the ambient ones with no b factor, in the same order.  The
+kept g-sets leave out a weight whose g-sets all meet b, and a weight
+without kept labels has no entry in V_k^{-2r}, not even an empty one.
 
 Everything is constructed one weight space at a time, since the
 denominator is weight-homogeneous.  A construction can be windowed to a
@@ -42,7 +47,7 @@ BModule suitable for Lie algebra cohomology.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exactla import SparseMatrix, kernel_basis
 from . import rootdata
@@ -82,11 +87,20 @@ def _ad_n(m):
     return out
 
 
-def _graded_tuples(m, labels, size, strict):
-    gen = itertools.combinations if strict else itertools.combinations_with_replacement
+@lru_cache(maxsize=None)
+def _graded(m, name, degree):
+    """Weight -> basis tuples of degree `degree`: of S(u) for name "u", of
+    wedge(g) or wedge(n) for "g" or "n", and for "kept" of the g-sets
+    in wedge(g) with no factor in b.  Each list is in combinations
+    order, and a weight without tuples has no key."""
+    if name == "kept":
+        kept = ((mu, [g for g in gl if _b_position(g) is None])
+                for mu, gl in _graded(m, "g", degree).items())
+        return {mu: gl for mu, gl in kept if gl}
+    gen = itertools.combinations_with_replacement if name == "u" else itertools.combinations
     out = {}
     zero = tuple([0] * (m - 1))
-    for combo in gen(labels, size):
+    for combo in gen(bmodule.lie_labels(m, name), degree):
         mu = zero
         for lbl in combo:
             mu = rootdata.add(mu, gl_label_weight(m, lbl))
@@ -94,32 +108,19 @@ def _graded_tuples(m, labels, size, strict):
     return out
 
 
-@lru_cache(maxsize=None)
-def _wedge_g_basis(m, a):
-    return _graded_tuples(m, bmodule.lie_labels(m, "g"), a, strict=True)
-
-
-@lru_cache(maxsize=None)
-def _wedge_n_basis(m, b):
-    return _graded_tuples(m, bmodule.lie_labels(m, "n"), b, strict=True)
-
-
-@lru_cache(maxsize=None)
-def _sym_u_basis(m, p):
-    return _graded_tuples(m, bmodule.lie_labels(m, "u"), p, strict=False)
-
-
-def _ambient_params(m, k, r):
-    n_dim = m * (m - 1) // 2
-    g_dim = m * m - 1
-    out = []
-    for b in range(max(r, 0), min(k, n_dim) + 1):
-        a = k - b
-        p = b - r
-        if a < 0 or a > g_dim or p < 0:
-            continue
-        out.append((a, b, p))
-    return out
+def _blocks(m, k, r, basis):
+    """(weight, monomials, g-sets, n-sets) for each block of labels
+    (mono, gset, nset) of V_k^{-2r} with one weight per factor: by
+    (a, b, p) with a + b = k, p = b - r, then by the weights of the
+    g-sets, the n-sets and the monomials.  This is the order of every
+    label list of V_k^{-2r}.  basis(name, degree) gives the factors by
+    weight, as _graded does for "u", "kept" and "n"."""
+    for b in range(max(r, 0), min(k, m * (m - 1) // 2) + 1):
+        for mug, gs in basis("kept", k - b).items():
+            for mun, ns in basis("n", b).items():
+                mugn = rootdata.add(mug, mun)
+                for muu, us in basis("u", b - r).items():
+                    yield rootdata.add(mugn, muu), us, gs, ns
 
 
 # Bounded: only delta_subspace reads this (VkComponent enumerates the
@@ -127,23 +128,13 @@ def _ambient_params(m, k, r):
 # keeps those reads hitting for m <= 4.
 @lru_cache(maxsize=8)
 def ambient_bases(m, k, r):
-    """All weight spaces of the ambient sum; dict weight -> list of
-    (mono, gset, nset) labels."""
+    """All weight spaces of the ambient sum, whose g-sets are all of
+    wedge(g); dict weight -> list of (mono, gset, nset) labels."""
+    def basis(name, degree):
+        return _graded(m, "g" if name == "kept" else name, degree)
     out = {}
-    for (a, b, p) in _ambient_params(m, k, r):
-        wg = _wedge_g_basis(m, a)
-        wn = _wedge_n_basis(m, b)
-        su = _sym_u_basis(m, p)
-        for mug, gl in wg.items():
-            for mun, nl in wn.items():
-                mugn = rootdata.add(mug, mun)
-                for muu, ul in su.items():
-                    mu = rootdata.add(mugn, muu)
-                    lst = out.setdefault(mu, [])
-                    for s in ul:
-                        for g in gl:
-                            for nn in nl:
-                                lst.append((s, g, nn))
+    for mu, us, gs, ns in _blocks(m, k, r, basis):
+        out.setdefault(mu, []).extend(itertools.product(us, gs, ns))
     return out
 
 
@@ -198,7 +189,7 @@ def delta_subspace(m, k, r, mu):
     zero = tuple([0] * (m - 1))
     for p in range(0, pmax + 1):
         sub = ambient_bases(m, k - 1, r + p)
-        su = _sym_u_basis(m, p)
+        su = _graded(m, "u", p)
         for x in bmodule.lie_labels(m, "b"):
             wx = gl_label_weight(m, x)
             for ws, s_list in su.items():
@@ -223,29 +214,12 @@ def _b_position(gset):
     return None
 
 
-@lru_cache(maxsize=None)
-def _kept_wedge_g_basis(m, a):
-    """_wedge_g_basis restricted to the g-sets with no factor in b; a
-    weight whose g-sets all meet b keeps an empty list."""
-    return {mu: [g for g in gl if _b_position(g) is None]
-            for mu, gl in _wedge_g_basis(m, a).items()}
-
-
 def quotient_character(m, k, r):
-    """Character of V_k^{-2r}, counted off the kept labels without
-    enumerating them or building lowering matrices."""
+    """Character of V_k^{-2r}, counted off the blocks of kept labels
+    without enumerating them or building lowering matrices."""
     out = {}
-    for (a, b, p) in _ambient_params(m, k, r):
-        wn = _wedge_n_basis(m, b)
-        su = _sym_u_basis(m, p)
-        for mug, gl in _kept_wedge_g_basis(m, a).items():
-            if not gl:
-                continue
-            for mun, nl in wn.items():
-                mugn = rootdata.add(mug, mun)
-                for muu, ul in su.items():
-                    mu = rootdata.add(mugn, muu)
-                    out[mu] = out.get(mu, 0) + len(gl) * len(nl) * len(ul)
+    for mu, us, gs, ns in _blocks(m, k, r, partial(_graded, m)):
+        out[mu] = out.get(mu, 0) + len(us) * len(gs) * len(ns)
     return out
 
 
@@ -287,7 +261,7 @@ class _FactorTables:
         self.m = m
         self.ids = ({}, {}, {})        # factor -> id, per kind
         self.factors = ([], [], [])    # id -> factor, per kind
-        self._bases = {}               # (kind, degree) -> weight -> (factors, ids)
+        self._bases = {}               # (name, degree) -> weight -> (factors, ids)
         self._images = {i: ({}, {}, {}) for i in range(1, m)}
         self._raises = {}              # (kind, x) -> id -> per-term results
 
@@ -299,19 +273,20 @@ class _FactorTables:
             self.factors[kind].append(factor)
         return j
 
-    def basis(self, kind, degree):
-        """The factors of one kind and degree by weight, in the order of
-        ambient_bases, each with its list of ids."""
-        key = (kind, degree)
+    def basis(self, name, degree):
+        """_graded(m, name, degree) for name "u", "kept" or "n", each
+        list paired with its factor ids."""
+        key = (name, degree)
         if key not in self._bases:
-            graded = (_sym_u_basis, _kept_wedge_g_basis, _wedge_n_basis)[kind](self.m, degree)
+            kind = ("u", "kept", "n").index(name)
             self._bases[key] = {mu: (fs, [self._intern(kind, f) for f in fs])
-                                for mu, fs in graded.items()}
+                                for mu, fs in _graded(self.m, name, degree).items()}
         return self._bases[key]
 
     def key(self, label):
-        """The id triple of a kept label that some basis() has interned."""
-        return tuple(self.ids[kind][f] for kind, f in enumerate(label))
+        """The id triple of a kept label; a factor never interned has id
+        None, so the triple is in no index."""
+        return tuple(self.ids[kind].get(f) for kind, f in enumerate(label))
 
     def image(self, i, kind, j):
         """f_i on one factor: (id, coeff) pairs, except that a g-set term
@@ -370,26 +345,14 @@ class _FactorTables:
 
     def kept_bases(self, k, r, window):
         """Weight -> (kept labels, their id triples) of V_k^{-2r}, in the
-        order of ambient_bases, over the weights of window (all weights
-        when None).  A weight whose ambient labels all meet b is kept
-        with empty lists."""
+        order of _blocks, over the weights of window (all weights when
+        None).  A weight without kept labels has no key."""
         out = {}
-        for (a, b, p) in _ambient_params(self.m, k, r):
-            wn = self.basis(2, b)
-            su = self.basis(0, p)
-            for mug, (gl, gids) in self.basis(1, a).items():
-                for mun, (nl, nids) in wn.items():
-                    mugn = rootdata.add(mug, mun)
-                    for muu, (ul, uids) in su.items():
-                        mu = rootdata.add(mugn, muu)
-                        if window is not None and mu not in window:
-                            continue
-                        lbls, keys = out.setdefault(mu, ([], []))
-                        for s, sid in zip(ul, uids):
-                            for g, gid in zip(gl, gids):
-                                for nn, nid in zip(nl, nids):
-                                    lbls.append((s, g, nn))
-                                    keys.append((sid, gid, nid))
+        for mu, (us, uids), (gs, gids), (ns, nids) in _blocks(self.m, k, r, self.basis):
+            if window is None or mu in window:
+                lbls, keys = out.setdefault(mu, ([], []))
+                lbls += itertools.product(us, gs, ns)
+                keys += itertools.product(uids, gids, nids)
         return out
 
     def lowering(self, i, keys, target_index):
@@ -431,31 +394,28 @@ def _factor_tables(m):
 class VkComponent:
     """The quotient module V_k^{-2r}, weight space by weight space.
 
-    The kept labels are enumerated directly, in the ambient_bases order,
-    and each weight's index is keyed by their id triples in the m's
-    _FactorTables.  Each lowering matrix sums the memoised images of
-    the three factors of each label, so its entries, and their order,
-    are those of acting on each label and projecting it.
+    The kept labels are enumerated directly, in the order of _blocks,
+    and each weight that has any keeps an index keyed by their id
+    triples in the m's _FactorTables.  Each lowering matrix sums the
+    memoised images of the three factors of each label, so its entries,
+    and their order, are those of acting on each label and projecting
+    it.
     """
 
     def __init__(self, m, k, r, window=None):
         self.m, self.k, self.r = m, k, r
         tables = self._tables = _factor_tables(m)
         bases = tables.kept_bases(k, r, window)
-        self._index = {}
-        spaces, keys = {}, {}
+        self._index, spaces, keys = {}, {}, {}
         for mu in set(bases) if window is None else set(window):
-            got = bases.get(mu)
-            if got is None:
-                continue
-            self._index[mu] = {key: j for j, key in enumerate(got[1])}
-            if got[0]:
-                spaces[mu], keys[mu] = got
+            if mu in bases:
+                spaces[mu], keys[mu] = bases[mu]
+                self._index[mu] = {key: j for j, key in enumerate(keys[mu])}
         lower = {}
         for mu, lbls in spaces.items():
             for i in range(1, m):
                 target = rootdata.sub(mu, rootdata.simple_root(m, i))
-                # without ambient labels at target, f_i maps to zero
+                # without kept labels at target, f_i maps to zero
                 if target not in self._index:
                     continue
                 ent = tables.lowering(i, keys[mu], self._index[target])
@@ -467,18 +427,17 @@ class VkComponent:
     def project(self, mu, label_vec):
         """Project an ambient vector, given as dict label -> coeff, to
         quotient coordinates at weight mu; the module raises
-        MissingWeightSpace when mu is outside its window."""
+        MissingWeightSpace when mu is outside its window, and a label
+        that substitutes to labels of another weight raises ValueError."""
         self.module.require(mu)
-        if mu not in self._index:
-            if label_vec:
-                raise ValueError("nonzero vector at weight %r, where V_%d^{-%d} has "
-                                 "no ambient basis" % (mu, self.k, 2 * self.r))
-            return {}
-        idx = self._index[mu]
+        idx = self._index.get(mu, {})
         out = {}
         for lbl, v in label_vec.items():
             for kept, c in _substitute(self.m, lbl).items():
-                q = idx[self._tables.key(kept)]
+                q = idx.get(self._tables.key(kept))
+                if q is None:
+                    raise ValueError("%r is not a kept label of V_%d^{-%d} at weight %r"
+                                     % (kept, self.k, 2 * self.r, mu))
                 out[q] = out.get(q, 0) + c * v
         return {q: v for q, v in out.items() if v}
 
