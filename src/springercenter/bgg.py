@@ -12,7 +12,7 @@ elements (dualization is an anti-homomorphism on words), so BGGData
 reverses each arrow's words once, into application order.  Each block
 of a differential is a sum of products of the module's lowering
 matrices along the words, taken from BModule.word_matrices, one call
-per source node.
+per source node; exactla.block_complex lays the blocks out.
 
 The resolution of the trivial module is generated for every m: nodes are
 reduced words of Weyl group elements, and the arrow of a Bruhat cover
@@ -36,7 +36,7 @@ import logging
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactla import SparseMatrix, CochainComplex, RowReducer, kernel_basis
+from .exactla import SparseMatrix, RowReducer, block_complex, kernel_basis
 from . import rootdata, springer
 from .bmodule import serre_relations
 
@@ -204,7 +204,7 @@ def cochain_window(m, lo=0, hi=None):
 def bgg_cochain(e, lo=0, hi=None):
     """The complex of weight spaces of e with the lowering differentials
     of the resolution of the trivial module, whose cohomology is the
-    multiplicity of L_0; multiplicity() sends a nonzero lam elsewhere.
+    multiplicity of L_0.
 
     Only layers lo..hi are built (all of them when hi is None), so term t
     of the result is term lo + t of the whole complex and e needs only
@@ -213,67 +213,36 @@ def bgg_cochain(e, lo=0, hi=None):
     complex, give its true cohomology.
 
     The block of an arrow w -> w2 sums coeff times the product of the
-    lowering matrices along each word.  The products come from one
-    word_matrices call per source node, on the words of all its arrows:
-    prefixes are shared only within a node, since distinct nodes have
-    distinct weights.
+    lowering matrices along each word; block_complex lays the blocks
+    out.  The products come from one word_matrices call per source node,
+    on the words of all its arrows: prefixes are shared only within a
+    node, since distinct nodes have distinct weights.
     """
-    m = e.m
-    data = bgg_data(m)
+    data = bgg_data(e.m)
     layers = data.nodes[lo:None if hi is None else hi + 1]
     weight = data.weight
-    offsets = []
-    dims = []
-    for layer in layers:
-        off = {}
-        total = 0
-        for word in layer:
-            off[word] = total
-            total += e.weight_dim(weight[word])
-        offsets.append(off)
-        dims.append(total)
-    maps = []
-    for t in range(len(layers) - 1):
-        ent = {}
-        get = ent.get
-        for w in layers[t]:
-            mu = weight[w]
-            if not e.weight_dim(mu):
-                continue
-            col0 = offsets[t][w]
-            arrows = [(w2, data.arrows[w, w2]) for w2 in layers[t + 1]
-                      if (w, w2) in data.arrows]
-            prods = e.word_matrices(mu, [word for _, terms in arrows for _, word in terms])
-            for w2, terms in arrows:
-                row0 = offsets[t + 1][w2]
-                for coeff, word in terms:
-                    tgt, prod = prods[word]
-                    if tgt != weight[w2]:
-                        raise ValueError("arrow %r -> %r lands at weight %r, not %r"
-                                         % (w, w2, tgt, weight[w2]))
-                    for (r, c), v in prod.entries.items():
-                        key = (row0 + r, col0 + c)
-                        ent[key] = get(key, 0) + coeff * v
-        maps.append(SparseMatrix(dims[t + 1], dims[t], ent))
-    return CochainComplex(dims, maps)
+
+    def blocks(t, w):
+        arrows = [(w2, data.arrows[w, w2]) for w2 in layers[t + 1] if (w, w2) in data.arrows]
+        prods = e.word_matrices(weight[w], [word for _, terms in arrows for _, word in terms])
+        for w2, terms in arrows:
+            for coeff, word in terms:
+                tgt, prod = prods[word]
+                if tgt != weight[w2]:
+                    raise ValueError("arrow %r -> %r lands at weight %r, not %r"
+                                     % (w, w2, tgt, weight[w2]))
+                yield w2, coeff, prod
+
+    return block_complex([[(w, e.weight_dim(weight[w])) for w in layer] for layer in layers],
+                         blocks)
 
 
-def multiplicity(e, lam=None):
-    """Multiplicity profile of L_lam in the sheaf cohomology of e, one
-    entry per cohomological degree.
-
-    For lam = 0 this runs the resolution complex of the trivial module.
-    The resolution is generated only for the zero weight, so a nonzero
-    dominant lam goes to the Lie algebra cohomology route.
-    """
-    m = e.m
-    zero = tuple([0] * (m - 1))
-    if lam is None or lam == zero:
-        return bgg_cochain(e).cohomology_dims()
-    if not rootdata.is_dominant(lam):
-        raise ValueError("lam must be dominant")
-    from . import ce_oracle
-    return ce_oracle.ce_cohomology(e, lam)
+def multiplicity(e):
+    """Multiplicity profile of L_0 in the sheaf cohomology of e, one
+    entry per cohomological degree, from the whole resolution complex.
+    The resolution is generated only for the zero weight; a nonzero lam
+    runs on the Lie algebra cohomology route, ce_oracle.ce_cohomology."""
+    return bgg_cochain(e).cohomology_dims()
 
 
 def diamond_entries(m):

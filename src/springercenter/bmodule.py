@@ -309,7 +309,7 @@ def _elementwise(mod):
     return basis, act
 
 
-def tensor(a, b, name=None):
+def tensor(a, b):
     basis_a, act_a = _elementwise(a)
     basis_b, act_b = _elementwise(b)
     labeled = []
@@ -326,8 +326,7 @@ def tensor(a, b, name=None):
             out[(ga, g2)] = out.get((ga, g2), 0) + c
         return out
 
-    return _module_from_action(a.m, labeled, act,
-                               name=name or "(%s)x(%s)" % (a.name, b.name))
+    return _module_from_action(a.m, labeled, act, name="(%s)x(%s)" % (a.name, b.name))
 
 
 def _sorted_with_sign(tup):
@@ -343,7 +342,7 @@ def _sorted_with_sign(tup):
     return tuple(lst), sign
 
 
-def wedge(a, k, name=None):
+def wedge(a, k):
     basis_a, act_a = _elementwise(a)
     n = len(basis_a)
     labeled = []
@@ -364,10 +363,10 @@ def wedge(a, k, name=None):
                 out[new] = out.get(new, 0) + sign * c
         return {kk: v for kk, v in out.items() if v}
 
-    return _module_from_action(a.m, labeled, act, name=name or "wedge^%d(%s)" % (k, a.name))
+    return _module_from_action(a.m, labeled, act, name="wedge^%d(%s)" % (k, a.name))
 
 
-def sym(a, p, name=None):
+def sym(a, p):
     basis_a, act_a = _elementwise(a)
     n = len(basis_a)
     labeled = []
@@ -388,10 +387,10 @@ def sym(a, p, name=None):
                 out[new] = out.get(new, 0) + mult * c
         return {kk: v for kk, v in out.items() if v}
 
-    return _module_from_action(a.m, labeled, act, name=name or "sym^%d(%s)" % (p, a.name))
+    return _module_from_action(a.m, labeled, act, name="sym^%d(%s)" % (p, a.name))
 
 
-def direct_sum(a, b, name=None):
+def direct_sum(a, b):
     basis_a, act_a = _elementwise(a)
     basis_b, act_b = _elementwise(b)
     labeled = [(("L", g), basis_a[g][0]) for g in range(len(basis_a))]
@@ -402,11 +401,10 @@ def direct_sum(a, b, name=None):
         inner = act_a(i, g) if side == "L" else act_b(i, g)
         return {(side, g2): c for g2, c in inner.items()}
 
-    return _module_from_action(a.m, labeled, act,
-                               name=name or "(%s)+(%s)" % (a.name, b.name))
+    return _module_from_action(a.m, labeled, act, name="(%s)+(%s)" % (a.name, b.name))
 
 
-def dual(a, name=None):
+def dual(a):
     spaces = {}
     for mu, lbls in a.spaces.items():
         neg = tuple(-c for c in mu)
@@ -424,7 +422,7 @@ def dual(a, name=None):
             if ent:
                 neg_src = tuple(-c for c in src)
                 lower[(i, neg_src)] = SparseMatrix(mat.ncols, mat.nrows, ent)
-    return BModule(a.m, spaces, lower, name=name or "dual(%s)" % a.name)
+    return BModule(a.m, spaces, lower, name="dual(%s)" % a.name)
 
 
 def natural_module(m):

@@ -9,35 +9,55 @@ computed from the standard Koszul-type complex Hom(wedge^p n, F).  Only
 the weight-zero part of the complex is ever materialized, which keeps
 the matrices small: a p-subset S of positive roots contributes the
 weight space F[-sum(S)].
+
+The Koszul data depends on m alone and is built once per m (_koszul):
+the subsets by size, their weights, and the signed arrows of the
+differential, which ce_cohomology turns into blocks for
+exactla.block_complex.
 """
 
 import itertools
 from functools import lru_cache
 
-from .exactla import SparseMatrix, CochainComplex
+from .exactla import SparseMatrix, block_complex
 from . import rootdata, bmodule
 
 
 @lru_cache(maxsize=None)
-def _structure_constants(m):
-    """[f_beta, f_gamma] expanded over the root basis of n, keyed by the
-    pair of root indices in the fixed ordering of positive roots."""
+def _koszul(m):
+    """(subsets, weight, module_part, bracket_part) of the weight-zero
+    Koszul complex of n, on the fixed ordering of positive roots.
+
+    subsets[p] lists the p-subsets S, as sorted tuples of root indices,
+    and weight[S] is -sum(S).  The differential sends a cochain on S to
+    S + {beta} by f_beta with sign (-1)^(# of S before beta), listed in
+    module_part[S] as (beta, S + {beta}, sign); and to each T whose
+    pair of roots brackets onto a root of S by the bracket coefficient
+    with its signs, listed in bracket_part[S] as (T, coeff)."""
     roots = rootdata.positive_roots(m)
+    n = len(roots)
     index = {("E", b, a): k for k, (a, b) in enumerate(roots)}
-    sc = {}
-    for i, (a1, b1) in enumerate(roots):
-        for j, (a2, b2) in enumerate(roots):
-            if i >= j:
-                continue
-            br = bmodule.bracket(m, ("E", b1, a1), ("E", b2, a2))
-            terms = {}
-            for lbl, c in br.items():
+    betas = [rootdata.root_weight(m, a, b) for (a, b) in roots]
+    subsets = [list(itertools.combinations(range(n), p)) for p in range(n + 1)]
+    every = [s for layer in subsets for s in layer]
+    weight = {s: tuple(-sum(betas[k][c] for k in s) for c in range(m - 1)) for s in every}
+    module_part = {s: [(roots[k], tuple(sorted(s + (k,))), (-1) ** sum(x < k for x in s))
+                       for k in range(n) if k not in s] for s in every}
+    bracket_part = {s: [] for s in every}
+    # T receives phi([f_ti, f_tj], rest) for each pair i < j of T
+    for t in every:
+        for i, j in itertools.combinations(range(len(t)), 2):
+            (a1, b1), (a2, b2) = roots[t[i]], roots[t[j]]
+            rest = t[:i] + t[i + 1:j] + t[j + 1:]
+            for lbl, c in bmodule.bracket(m, ("E", b1, a1), ("E", b2, a2)).items():
                 if lbl not in index:
                     raise ValueError("bracket of n left n")
-                terms[index[lbl]] = c
-            if terms:
-                sc[(i, j)] = terms
-    return sc
+                delta = index[lbl]
+                if delta not in rest:
+                    sigma = (-1) ** sum(x < delta for x in rest)
+                    bracket_part[tuple(sorted(rest + (delta,)))].append(
+                        (t, c * sigma * (-1) ** (i + j)))
+    return subsets, weight, module_part, bracket_part
 
 
 def ce_cohomology(e, lam=None):
@@ -46,73 +66,24 @@ def ce_cohomology(e, lam=None):
     m = e.m
     if e.window is not None:
         raise ValueError("need a complete module (all weight spaces known)")
-    zero = tuple([0] * (m - 1))
-    if lam is None or lam == zero:
+    if lam is None or not any(lam):
         f = e
     else:
         f = bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(m, lam)))
-    roots = rootdata.positive_roots(m)
-    betas = [rootdata.root_weight(m, a, b) for (a, b) in roots]
-    n = len(roots)
-    sc = _structure_constants(m)
+    subsets, weight, module_part, bracket_part = _koszul(m)
+    dim = {s: f.weight_dim(nu) for s, nu in weight.items()}
+    eye = {d: SparseMatrix(d, d, {(r, r): 1 for r in range(d)}) for d in set(dim.values())}
 
-    layers = []
-    for p in range(n + 1):
-        layer = []
-        off = 0
-        for s in itertools.combinations(range(n), p):
-            nu = zero
-            for k in s:
-                nu = rootdata.sub(nu, betas[k])
-            d = f.weight_dim(nu)
-            if d:
-                layer.append((s, nu, off, d))
-                off += d
-        layers.append(layer)
-    dims = [sum(rec[3] for rec in layer) for layer in layers]
+    def blocks(p, s):
+        # root_lower_matrix is the costly step, so a zero target is skipped first
+        for root, t, sign in module_part[s]:
+            if dim[t]:
+                yield t, sign, f.root_lower_matrix(root, weight[s])
+        for t, coeff in bracket_part[s]:
+            yield t, coeff, eye[dim[s]]
 
-    maps = []
-    for p in range(n):
-        src = {rec[0]: rec for rec in layers[p]}
-        tgt = {rec[0]: rec for rec in layers[p + 1]}
-        ent = {}
-        # module action part: for each column block (S, v), each beta not
-        # in S sends v to f_beta . v inside the block S + {beta}
-        for (s, nu, off, d) in layers[p]:
-            for k in range(n):
-                if k in s:
-                    continue
-                pos = sum(1 for x in s if x < k)
-                t = tuple(sorted(s + (k,)))
-                if t not in tgt:
-                    continue
-                _, nut, offt, _ = tgt[t]
-                mat = f.root_lower_matrix(roots[k], nu)
-                sign = (-1) ** pos
-                for (r, c), v in mat.entries.items():
-                    key = (offt + r, off + c)
-                    ent[key] = ent.get(key, 0) + sign * v
-        # bracket part: rows (T, .) receive phi([f_ti, f_tj], rest)
-        for (t, nut, offt, dt) in layers[p + 1]:
-            for i, j in itertools.combinations(range(len(t)), 2):
-                terms = sc.get((t[i], t[j]))
-                if not terms:
-                    continue
-                rest = t[:i] + t[i + 1:j] + t[j + 1:]
-                for delta, c in terms.items():
-                    if delta in rest:
-                        continue
-                    sigma = (-1) ** sum(1 for x in rest if x < delta)
-                    s2 = tuple(sorted(rest + (delta,)))
-                    if s2 not in src:
-                        continue
-                    _, _, offs, ds = src[s2]
-                    coeff = c * sigma * (-1) ** (i + j)
-                    for r in range(ds):
-                        key = (offt + r, offs + r)
-                        ent[key] = ent.get(key, 0) + coeff
-        maps.append(SparseMatrix(dims[p + 1], dims[p], ent))
-    return CochainComplex(dims, maps).cohomology_dims()
+    return block_complex([[(s, dim[s]) for s in layer] for layer in subsets],
+                         blocks).cohomology_dims()
 
 
 def full_decomposition(e):

@@ -358,8 +358,8 @@ def cmd_cohomology(args):
     if lam is not None and len(lam) != args.m - 1:
         log.error("lam needs %d coordinates", args.m - 1)
         return 1
-    # the resolution is generated for lam = 0 only, so bgg.multiplicity
-    # runs a nonzero lam on the Lie algebra cohomology route
+    # the resolution is generated for lam = 0 only, so a nonzero lam
+    # runs on the Lie algebra cohomology route
     method = "ce" if lam is not None and any(lam) else args.method
     payload = {"cmd": "cohomology", "m": args.m, "expr": render_expression(node),
                "lam": lam, "method": method, "version": __version__}
@@ -375,7 +375,7 @@ def cmd_cohomology(args):
         if method == "ce":
             profile = ce_oracle.ce_cohomology(mod, lam)
         else:
-            profile = bgg.multiplicity(mod, lam)
+            profile = bgg.multiplicity(mod)
         result = {"m": args.m, "expr": render_expression(node),
                   "lam": list(lam) if lam else None,
                   "method": method, "profile": profile,

@@ -2,7 +2,8 @@
 
 Everything downstream (weight-space quotients, BGG complexes, ideal
 slices) reduces to rank, kernel and quotient computations on sparse
-matrices over Q, so this module keeps those primitives in one place.
+matrices over Q, so this module keeps those primitives in one place,
+along with block_complex, the one layout of a cochain complex.
 A rational is held in canonical form: an int when it is integral,
 otherwise a Fraction.  Most matrices in the pipeline are integral, and
 int arithmetic costs far less than Fraction arithmetic.  The primitives
@@ -351,3 +352,39 @@ class CochainComplex:
             cleared = red.echelon
         ranks.append(0)
         return [d - ranks[t] - ranks[t + 1] for t, d in enumerate(self.dims)]
+
+
+def block_complex(layers, blocks):
+    """The cochain complex whose term t is the direct sum of the nodes of
+    layers[t], a list of (node, dim) in block order.
+
+    For each node of layers[t] with nonzero dim, blocks(t, node) yields
+    (node2, coeff, mat): coeff times mat, a dim(node2) x dim(node)
+    matrix, is added into the map from term t to term t + 1 at the rows
+    of node2 in layers[t + 1] and the columns of node.  Blocks that land
+    on the same position add up.
+    """
+    offsets, dims = [], []
+    for layer in layers:
+        off, total = {}, 0
+        for node, d in layer:
+            off[node] = total
+            total += d
+        offsets.append(off)
+        dims.append(total)
+    maps = []
+    for t in range(len(layers) - 1):
+        ent = {}
+        get = ent.get
+        rows = offsets[t + 1]
+        for node, d in layers[t]:
+            if not d:
+                continue
+            col0 = offsets[t][node]
+            for node2, coeff, mat in blocks(t, node):
+                row0 = rows[node2]
+                for (r, c), v in mat.entries.items():
+                    key = (row0 + r, col0 + c)
+                    ent[key] = get(key, 0) + coeff * v
+        maps.append(SparseMatrix(dims[t + 1], dims[t], ent))
+    return CochainComplex(dims, maps)

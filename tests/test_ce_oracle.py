@@ -1,4 +1,7 @@
+import hashlib
+
 from springercenter import bgg, springer
+from springercenter.exactla import CochainComplex
 from springercenter.bmodule import (
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge,
 )
@@ -23,3 +26,28 @@ def test_agrees_with_resolution_on_quotient_components():
     for (m, k, r) in [(2, 1, 1), (2, 2, 1), (3, 2, 1), (3, 1, 0), (3, 3, 2)]:
         mod = springer.build_vk_component(m, k, r).module
         assert ce_cohomology(mod) == bgg.multiplicity(mod)
+
+
+def test_ce_complexes_are_pinned(monkeypatch):
+    # dims and sorted entries of every CE complex that reaches
+    # cohomology_dims: the complete sl2/sl3 diamond components, the six
+    # sl4 components of the ce-sl4 benchmark workload and two nonzero
+    # weights; cleared ranks do not depend on the order of entries
+    seen = []
+    plain = CochainComplex.cohomology_dims
+
+    def spy(cx):
+        seen.append((cx.dims, [sorted(mp.entries.items()) for mp in cx.maps]))
+        return plain(cx)
+
+    monkeypatch.setattr(CochainComplex, "cohomology_dims", spy)
+    for m in (2, 3):
+        for k, r in sorted({bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)}):
+            ce_cohomology(springer.build_vk_component(m, k, r).module)
+    for k, r in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 4), (6, 4)]:
+        ce_cohomology(springer.build_vk_component(4, k, r).module)
+    ce_cohomology(tensor(sub_n(3), quotient_u(3)), (1, 1))
+    ce_cohomology(adjoint_g(4), (1, 0, 1))
+    assert len(seen) == 16
+    assert (hashlib.sha256(repr(seen).encode()).hexdigest()
+            == "7879187793bb610c531b909144489318960eed68e2852c554d2cd3fe58ceb32b")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from springercenter.exactla import (
     SparseMatrix, RowReducer, rank, kernel_basis,
-    CochainComplex, NotAComplex,
+    CochainComplex, NotAComplex, block_complex,
 )
 
 
@@ -282,3 +282,28 @@ def test_cohomology_of_a_non_complex_is_refused():
     d1 = SparseMatrix(1, 1, {(0, 0): 1})
     with pytest.raises(NotAComplex):
         CochainComplex([1, 1, 1], [d0, d1]).cohomology_dims()
+
+
+def test_block_complex_lays_out_and_sums_blocks():
+    # a zero-dim node between two others, and two blocks on (y, a) that add
+    layers = [[("a", 2), ("z", 0), ("b", 1)], [("x", 1), ("y", 2)]]
+    blocks = {
+        "a": [("y", 3, SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 1})),
+              ("y", -1, SparseMatrix(2, 2, {(0, 0): 1, (1, 0): 4})),
+              ("x", 1, SparseMatrix(1, 2, {(0, 0): 5}))],
+        "b": [("x", Fraction(1, 2), SparseMatrix(1, 1, {(0, 0): 2})),
+              ("y", 1, SparseMatrix(2, 1, {(1, 0): 7}))],
+    }
+    calls = []
+
+    def blocks_of(t, node):
+        calls.append((t, node))
+        return blocks[node]
+
+    cx = block_complex(layers, blocks_of)
+    assert calls == [(0, "a"), (0, "b")]
+    assert cx.dims == [3, 3]
+    assert dense(cx.maps[0]) == [[5, 0, 1],
+                                 [2, 6, 0],
+                                 [-4, 3, 7]]
+    assert all(type(v) is int for v in cx.maps[0].entries.values())
