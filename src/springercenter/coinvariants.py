@@ -2,17 +2,27 @@
 
 DC_m is the quotient of Q[x_1..x_m, y_1..y_m] by the ideal generated by
 the polarized power sums p_{a,b} = sum_t x_t^a y_t^b with 1 <= a+b <= m.
+The ideal contains the two linear invariants p_{1,0} = sum x_t and
+p_{0,1} = sum y_t, so the slices are taken after substituting them away:
+x_m -> -(x_1+...+x_{m-1}), y_m -> -(y_1+...+y_{m-1}) is a surjective
+bigraded ring map onto Q[x_1..x_{m-1}, y_1..y_{m-1}] whose kernel is
+(p_{1,0}, p_{0,1}).  DC_m is therefore the quotient of the smaller ring
+by the images of p_{a,b} with 2 <= a+b <= m, and every bidegree keeps
+its dimension.
+
 Each bidegree (i, j) slice is finite dimensional and its dimension is
-the number of monomials minus the rank of the generator multiples
-landing in that slice.  The ideal absorbs multiplication, so once a
-whole total-degree shell vanishes everything above it does too; tables
-are computed shell by shell until that happens.
+the number of monomials in the 2(m-1) variables minus the rank of the
+generator multiples landing in that slice.  The ideal absorbs
+multiplication, so once a whole total-degree shell vanishes everything
+above it does too; tables are computed shell by shell until that
+happens.
 
 The multiples enter the elimination sorted by their leading (smallest)
 column, largest first.  A new row then meets pivots that mostly lie
 beyond its own leading column, so clearing it touches few of them and
 the echelon fills in less.  The rank does not depend on the order in
-which rows are added, so neither does any dimension.
+which rows are added, so neither does any dimension.  The substitution
+shrinks each slice and leaves this order as it is.
 
 pf_table is an independent check that uses no linear algebra: the
 Hilbert series of DC_m as a sum over parking functions (Haiman 2002;
@@ -21,6 +31,7 @@ Haglund-Loehr 2005; the shuffle theorem, Carlsson-Mellit 2018).
 
 import functools
 import itertools
+import math
 
 from .exactla import RowReducer
 
@@ -46,29 +57,58 @@ def _slice_dim(ncols, rows):
     return ncols - red.rank
 
 
+@functools.lru_cache(maxsize=None)
+def _substituted(m, a, b):
+    """The image of p_{a,b} under x_m -> -(x_1+...+x_{m-1}),
+    y_m -> -(y_1+...+y_{m-1}): a tuple of ((xe, ye), coeff), one per
+    monomial x^xe y^ye in the m-1 remaining variables of each set, with
+    nonzero integer coefficients.  The last term expands by the
+    multinomial theorem."""
+    n = m - 1
+    top = (-1) ** (a + b) * math.factorial(a) * math.factorial(b)
+    terms = {(xe, ye): top // math.prod(map(math.factorial, xe + ye))
+             for xe, ye in itertools.product(_compositions(a, n), _compositions(b, n))}
+    for t in range(n):
+        mono = (tuple(a * (s == t) for s in range(n)), tuple(b * (s == t) for s in range(n)))
+        terms[mono] += 1
+    return tuple((mono, c) for mono, c in terms.items() if c)
+
+
+def _pack(xe, ye, base):
+    """The exponent code sum_k e_k base^k of x^xe y^ye.  Within one
+    bidegree slice no exponent reaches base, so multiplying monomials
+    adds their codes."""
+    code = 0
+    for e in reversed(xe + ye):
+        code = code * base + e
+    return code
+
+
 def dc_entry(m, i, j):
-    """dim of the bidegree (i, j) component of DC_m."""
-    monos = [(xe, ye)
-             for xe in _compositions(i, m)
-             for ye in _compositions(j, m)]
-    idx = {mono: k for k, mono in enumerate(monos)}
+    """dim of the bidegree (i, j) component of DC_m.
+
+    The slice is taken in Q[x_1..x_{m-1}, y_1..y_{m-1}] modulo the
+    images of p_{a,b}, 2 <= a+b <= m, which has the same dimension (see
+    the module docstring).  Its columns are the monomials of bidegree
+    (i, j) in lexicographic order of (xe, ye); its rows are each
+    generator image times each monomial of the complementary bidegree,
+    and _slice_dim eliminates them leading column largest first."""
+    n = m - 1
+    base = max(i, j) + 1
+    cols = {_pack(xe, ye, base): k
+            for k, (xe, ye) in enumerate(itertools.product(
+                _compositions(i, n), _compositions(j, n)))}
     rows = []
     for a in range(0, m + 1):
         for b in range(0, m + 1 - a):
-            if a + b < 1 or a > i or b > j:
+            if a + b < 2 or a > i or b > j:
                 continue
-            for xe in _compositions(i - a, m):
-                for ye in _compositions(j - b, m):
-                    row = {}
-                    for t in range(m):
-                        xs = list(xe)
-                        ys = list(ye)
-                        xs[t] += a
-                        ys[t] += b
-                        col = idx[(tuple(xs), tuple(ys))]
-                        row[col] = row.get(col, 0) + 1
-                    rows.append(row)
-    return _slice_dim(len(monos), rows)
+            terms = [(_pack(xe, ye, base), c) for (xe, ye), c in _substituted(m, a, b)]
+            for xe in _compositions(i - a, n):
+                for ye in _compositions(j - b, n):
+                    shift = _pack(xe, ye, base)
+                    rows.append({cols[shift + code]: c for code, c in terms})
+    return _slice_dim(len(cols), rows)
 
 
 def dc_table(m):

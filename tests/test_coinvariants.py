@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from springercenter.rootdata import poincare_polynomial
 from springercenter.coinvariants import (
     dc_entry, dc_table, expected_diamond_from_dc,
-    pf_table, _slice_dim,
+    pf_table, _compositions, _slice_dim, _substituted,
 )
 from springercenter.bgg import hodge_diamond
 
@@ -40,6 +41,74 @@ def dc_table_groebner(m):
         if deg > 0 and not found:
             break
     return out
+
+
+def _dc_entry_full(m, i, j):
+    """dim of the bidegree (i, j) component of DC_m, eliminated in all
+    2m variables with every p_{a,b}, 1 <= a+b <= m, and no substitution."""
+    monos = [(xe, ye)
+             for xe in _compositions(i, m)
+             for ye in _compositions(j, m)]
+    idx = {mono: k for k, mono in enumerate(monos)}
+    rows = []
+    for a in range(0, m + 1):
+        for b in range(0, m + 1 - a):
+            if a + b < 1 or a > i or b > j:
+                continue
+            for xe in _compositions(i - a, m):
+                for ye in _compositions(j - b, m):
+                    row = {}
+                    for t in range(m):
+                        xs = list(xe)
+                        ys = list(ye)
+                        xs[t] += a
+                        ys[t] += b
+                        col = idx[(tuple(xs), tuple(ys))]
+                        row[col] = row.get(col, 0) + 1
+                    rows.append(row)
+    return _slice_dim(len(monos), rows)
+
+
+def test_substituted_slices_match_full_variable_slices():
+    # every bidegree up to and including the shell that vanishes
+    for m in (1, 2, 3, 4):
+        for d in range(math.comb(m, 2) + 2):
+            for i in range(d + 1):
+                assert dc_entry(m, i, d - i) == _dc_entry_full(m, i, d - i), (m, i, d - i)
+
+
+def _evaluate(terms, xs, ys):
+    return sum(c * math.prod(x ** e for x, e in zip(xs, xe))
+               * math.prod(y ** e for y, e in zip(ys, ye))
+               for (xe, ye), c in terms)
+
+
+@st.composite
+def substitutions(draw):
+    """(m, a, b, xs, ys): 2 <= a+b <= m <= 5 and an integer point of the
+    m-1 remaining variables of each set."""
+    m = draw(st.integers(2, 5))
+    a = draw(st.integers(0, m))
+    b = draw(st.integers(max(0, 2 - a), m - a))
+    point = st.lists(st.integers(-5, 5), min_size=m - 1, max_size=m - 1)
+    return m, a, b, draw(point), draw(point)
+
+
+@given(substitutions())
+@settings(max_examples=80, deadline=None)
+def test_substituted_generator_is_the_power_sum_on_the_hyperplanes(case):
+    m, a, b, xs, ys = case
+    full_x = xs + [-sum(xs)]
+    full_y = ys + [-sum(ys)]
+    assert _evaluate(_substituted(m, a, b), xs, ys) == sum(
+        x ** a * y ** b for x, y in zip(full_x, full_y))
+    # the linear invariants are the kernel, hence no generator of degree 1
+    assert _substituted(m, 1, 0) == _substituted(m, 0, 1) == ()
+
+
+def test_zero_variable_ring_after_substitution():
+    assert _compositions(0, 0) == ((),)
+    assert dc_table(1) == {(0, 0): 1}
 
 
 def test_bigraded_tables_match_groebner_oracle():
@@ -90,8 +159,10 @@ def test_parking_function_series_matches_slice_elimination():
 def test_parking_function_series_at_m5():
     table = pf_table(5)
     assert sum(table.values()) == 6 ** 4
-    assert dc_entry(5, 3, 3) == table[(3, 3)] == 58
-    assert dc_entry(5, 4, 2) == table[(4, 2)] == 54
+    dims = {(i, d - i): dc_entry(5, i, d - i) for d in range(7) for i in range(d + 1)}
+    assert dims[(3, 3)] == table[(3, 3)] == 58
+    assert dims[(4, 2)] == table[(4, 2)] == 54
+    assert dims == {key: table.get(key, 0) for key in dims}
 
 
 @st.composite
