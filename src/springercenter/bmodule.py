@@ -16,7 +16,12 @@ of silently returning zero.
 
 A word in the f_i acts through word_matrices, which forms the product
 of the lowering matrices along every prefix of the words it is given;
-serre_relations lists the relations those products must satisfy.
+serre_relations lists the relations those products must satisfy.  A
+negative root vector acts through root_lower_matrix, a nested
+commutator of two products per level.  Neither keeps a cache:
+word_matrices memoises within one call, root_lower_matrix in the dict
+its caller passes, so a product is formed once per computation and
+nothing outlives it.
 """
 
 import itertools
@@ -176,26 +181,39 @@ class BModule:
                 total[k] = total.get(k, 0) + coeff * v
         return out_mu, {k: v for k, v in total.items() if v}
 
-    def root_lower_matrix(self, root, mu):
+    def root_lower_matrix(self, root, mu, memo=None):
         """Matrix of the negative root vector f_{(a,b)} = E_{b,a} on the mu
         weight space, via f_{(a,b)} = [f_b, f_{(a,b-1)}] (0-indexed root
         (a,b), 1-indexed simple generators).  The nested bracket takes
         fewer products than running its expansion into words through
-        word_matrices."""
+        word_matrices.
+
+        memo, a dict (root, mu) -> matrix, is passed down to both inner
+        calls, f_{(a,b-1)} at mu and at mu - alpha_b, so that each
+        non-simple key it holds is formed once, by its two products.  As
+        in word_matrices, the memo lives only as long as the caller's
+        dict: no cache is kept on the module or globally, so nothing
+        holds a module's matrices after the computation that asked for
+        them.  Without a memo every call forms its matrix afresh."""
         a, b = root
         if b == a + 1:
             return self.lower_matrix(b, mu)
-        inner = self.root_lower_matrix((a, b - 1), mu)
+        if memo is not None and (root, mu) in memo:
+            return memo[(root, mu)]
+        inner = self.root_lower_matrix((a, b - 1), mu, memo)
         mid1 = rootdata.sub(mu, rootdata.root_weight(self.m, a, b - 1))
         first = self.lower_matrix(b, mu)
         mid2 = rootdata.sub(mu, rootdata.simple_root(self.m, b))
         # [f_b, f_{(a,b-1)}] = f_b f_{(a,b-1)} - f_{(a,b-1)} f_b
         t1 = self.lower_matrix(b, mid1).matmul(inner)
-        t2 = self.root_lower_matrix((a, b - 1), mid2).matmul(first)
+        t2 = self.root_lower_matrix((a, b - 1), mid2, memo).matmul(first)
         out = dict(t1.entries)
         for k, v in t2.entries.items():
             out[k] = out.get(k, 0) - v
-        return SparseMatrix(t1.nrows, t1.ncols, out)
+        mat = SparseMatrix(t1.nrows, t1.ncols, out)
+        if memo is not None:
+            memo[(root, mu)] = mat
+        return mat
 
 
 def _module_from_action(m, labeled, act, name=""):

@@ -13,7 +13,11 @@ weight space F[-sum(S)].
 The Koszul data depends on m alone and is built once per m (_koszul):
 the subsets by size, their weights, and the signed arrows of the
 differential, which ce_cohomology turns into blocks for
-exactla.block_complex.
+exactla.block_complex.  The module blocks are the negative root
+matrices f_beta on the weight spaces F[-sum(S)]; many subsets share a
+weight, and the commutator recursion of BModule.root_lower_matrix
+reaches the same inner roots again, so ce_cohomology passes it one memo
+per call and each (root, weight) matrix is formed once.
 """
 
 import itertools
@@ -73,12 +77,14 @@ def ce_cohomology(e, lam=None):
     subsets, weight, module_part, bracket_part = _koszul(m)
     dim = {s: f.weight_dim(nu) for s, nu in weight.items()}
     eye = {d: SparseMatrix(d, d, {(r, r): 1 for r in range(d)}) for d in set(dim.values())}
+    memo = {}
 
     def blocks(p, s):
-        # root_lower_matrix is the costly step, so a zero target is skipped first
+        # forming root matrices is the costly step: each (root, weight) is
+        # formed once into the memo, and a zero target is skipped first
         for root, t, sign in module_part[s]:
             if dim[t]:
-                yield t, sign, f.root_lower_matrix(root, weight[s])
+                yield t, sign, f.root_lower_matrix(root, weight[s], memo)
         for t, coeff in bracket_part[s]:
             yield t, coeff, eye[dim[s]]
 

@@ -48,10 +48,12 @@ class SparseMatrix:
 
     Entries live in a dict keyed by (row, col); zeros are never stored,
     and every stored value is canonical: an int exactly when it is
-    integral, otherwise a Fraction.  apply() and matmul() go through a
-    per-column index that is built on first use and never refreshed, so
-    neither the matrix nor its entries dict may change after
-    construction.
+    integral, otherwise a Fraction.  The constructor stores an int as it
+    is, since most entries are ints and already canonical, and passes
+    only other values through canonical(); every entry, int or not, is
+    bounds-checked.  apply() and matmul() go through a per-column index
+    that is built on first use and never refreshed, so neither the
+    matrix nor its entries dict may change after construction.
     """
 
     def __init__(self, nrows, ncols, entries=None):
@@ -64,19 +66,17 @@ class SparseMatrix:
                 if v:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise IndexError("entry (%d,%d) outside %dx%d" % (r, c, nrows, ncols))
-                    self.entries[(r, c)] = canonical(v)
+                    self.entries[(r, c)] = v if type(v) is int else canonical(v)
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        """Build from a list of sparse rows (dicts col -> value)."""
-        entries = {}
-        width = ncols or 0
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v:
-                    entries[(r, c)] = v
-                    width = max(width, c + 1)
-        return cls(len(rows), width, entries)
+        """Build from a list of sparse rows (dicts col -> value).  Given
+        ncols is the width, and a row reaching past it raises IndexError;
+        without it the matrix is as wide as its widest nonzero entry needs."""
+        entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items() if v}
+        if ncols is None:
+            ncols = max((c + 1 for _, c in entries), default=0)
+        return cls(len(rows), ncols, entries)
 
     def _columns(self):
         """col -> flat list row, value, row, value, ... of the stored

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from springercenter import rootdata
+from springercenter import rootdata, springer
 from springercenter.bmodule import (
     bracket, gl_label_weight, lie_labels, adjoint_g, sub_n, sub_b, quotient_u,
     trivial_module, natural_module, irreducible_module, tensor, wedge,
@@ -96,6 +96,43 @@ def test_adjoint_lowering_matches_bracket():
                     expect = {k: Fraction(v) for k, v in expect.items()
                               if k in set(g.labels(tgt))}
                     assert got == expect
+
+
+def test_root_lowering_matches_bracket_on_adjoint():
+    # f_{(a,b)} = E_{b,a} acts on g by the bracket, every label of which
+    # lies in the target weight space
+    columns = {}
+    for m in (3, 4):
+        g = adjoint_g(m)
+        columns[m] = 0
+        for a, b in rootdata.positive_roots(m):
+            for mu in g.weights():
+                tgt = rootdata.sub(mu, rootdata.root_weight(m, a, b))
+                if tgt not in g.spaces:
+                    continue
+                mat = g.root_lower_matrix((a, b), mu)
+                assert (mat.nrows, mat.ncols) == (len(g.labels(tgt)), len(g.labels(mu)))
+                for col, lbl in enumerate(g.labels(mu)):
+                    got = {g.labels(tgt)[r]: v for (r, c), v in mat.entries.items() if c == col}
+                    assert got == bracket(m, ("E", b, a), lbl)
+                    columns[m] += 1
+    assert columns == {3: 15, 4: 48}
+
+
+@pytest.mark.parametrize("build", [lambda: tensor(sub_n(3), quotient_u(3)),
+                                   lambda: springer.build_vk_component(4, 4, 2).module],
+                         ids=["n(x)u_sl3", "V4^-4_sl4"])
+def test_root_lowering_with_a_shared_memo_matches_fresh_calls(build):
+    mod = build()
+    memo = {}
+    for a, b in rootdata.positive_roots(mod.m):
+        for mu in mod.weights():
+            shared = mod.root_lower_matrix((a, b), mu, memo)
+            assert shared == mod.root_lower_matrix((a, b), mu)
+            if b > a + 1:
+                assert memo[((a, b), mu)] is shared
+    # simple roots read the stored lowering matrices and are not memoised
+    assert memo and all(b > a + 1 for (a, b), _ in memo)
 
 
 def test_natural_module_lowering_chain():

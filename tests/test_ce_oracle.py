@@ -1,8 +1,11 @@
 import hashlib
 
+import pytest
+
 from springercenter import bgg, springer
-from springercenter.exactla import CochainComplex
+from springercenter.exactla import CochainComplex, SparseMatrix
 from springercenter.bmodule import (
+    BModule,
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge,
 )
 from springercenter.ce_oracle import ce_cohomology
@@ -51,3 +54,35 @@ def test_ce_complexes_are_pinned(monkeypatch):
     assert len(seen) == 16
     assert (hashlib.sha256(repr(seen).encode()).hexdigest()
             == "7879187793bb610c531b909144489318960eed68e2852c554d2cd3fe58ceb32b")
+
+
+def test_each_root_matrix_is_formed_once_per_call(monkeypatch):
+    # with the per-call memo, root_lower_matrix forms every non-simple
+    # (root, weight) key it reaches by exactly its two products
+    mod = springer.build_vk_component(4, 4, 2).module
+    depth, products, keys = [0], [0], set()
+    plain_root, plain_matmul = BModule.root_lower_matrix, SparseMatrix.matmul
+
+    def root_spy(self, root, mu, *memo):
+        if root[1] > root[0] + 1:
+            keys.add((root, mu))
+        depth[0] += 1
+        try:
+            return plain_root(self, root, mu, *memo)
+        finally:
+            depth[0] -= 1
+
+    def matmul_spy(self, other):
+        products[0] += depth[0] > 0
+        return plain_matmul(self, other)
+
+    monkeypatch.setattr(BModule, "root_lower_matrix", root_spy)
+    monkeypatch.setattr(SparseMatrix, "matmul", matmul_spy)
+    assert ce_cohomology(mod) == [1, 5, 7, 0, 0, 0, 0]
+    assert keys and products[0] == 2 * len(keys)
+
+
+def test_windowed_module_is_refused():
+    mod = springer.build_vk_component(3, 2, 1, window=bgg.cochain_window(3)).module
+    with pytest.raises(ValueError, match="need a complete module"):
+        ce_cohomology(mod)

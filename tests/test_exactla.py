@@ -193,6 +193,22 @@ def test_integral_fractions_store_as_ints(ints):
     assert all(type(v) is int for v in as_fraction.entries.values())
 
 
+@pytest.mark.parametrize("value", [1, -3, Fraction(1, 2), Fraction(4, 2)])
+def test_entries_outside_the_shape_are_refused(value):
+    # ints skip canonical() but not the bounds check
+    for key in [(2, 0), (0, 3), (-1, 0), (0, -1), (2, 3)]:
+        with pytest.raises(IndexError):
+            SparseMatrix(2, 3, {(1, 2): 1, key: value})
+
+
+def test_from_rows_takes_the_given_width():
+    assert SparseMatrix.from_rows([{0: 1}], 4).ncols == 4
+    assert SparseMatrix.from_rows([{0: 1}, {3: 2, 9: 0}]).ncols == 4
+    assert SparseMatrix.from_rows([], 0) == SparseMatrix(0, 0)
+    with pytest.raises(IndexError):
+        SparseMatrix.from_rows([{0: 1}, {3: 2}], 3)
+
+
 def test_row_reducer_reduces_spanned_vectors_to_zero():
     red = RowReducer()
     red.add({0: Fraction(1), 1: Fraction(2)})
