@@ -110,9 +110,6 @@ class BModule:
     def dim(self):
         return sum(len(v) for v in self.spaces.values())
 
-    def weights(self):
-        return sorted(self.spaces)
-
     def weight_dim(self, mu):
         self.require(mu)
         return len(self.spaces.get(mu, ()))
@@ -120,9 +117,6 @@ class BModule:
     def labels(self, mu):
         self.require(mu)
         return self.spaces.get(mu, [])
-
-    def character(self):
-        return {mu: len(lbls) for mu, lbls in self.spaces.items()}
 
     def require(self, mu):
         """Raise MissingWeightSpace if mu is outside a windowed module's window."""

@@ -24,6 +24,22 @@ the echelon fills in less.  The rank does not depend on the order in
 which rows are added, so neither does any dimension.  The substitution
 shrinks each slice and leaves this order as it is.
 
+A slice can be proved zero without building a row.  Its columns are in
+lexicographic order of the exponent vector xe + ye, and adding the same
+exponent vector to two monomials keeps their lexicographic order, so
+multiplying a polynomial by a variable v moves its leading monomial from
+u to v*u.  The pivots of the slice's elimination are the leading
+monomials of the ideal there; they depend on the span, not on the rows
+chosen.  Let every monomial of slice (i, j) be v*u, with u a leading
+monomial of slice (i-1, j) and v an x, or of slice (i, j-1) and v a y.
+Then picking one such v*g_u per monomial gives ideal elements whose
+leading monomials are distinct and cover every column, so the slice has
+full rank and dimension 0.  _dc_table checks this cover on the pivots of
+the previous shell and eliminates only the slices it leaves open; a
+slice proved zero counts as having every monomial leading.  At m = 3, 4
+and 5 the cover proves the whole vanishing shell; at m = 2 the shell of
+degree 2 carries new generators over an empty ideal and is eliminated.
+
 pf_table is an independent check that uses no linear algebra: the
 Hilbert series of DC_m as a sum over parking functions (Haiman 2002;
 Haglund-Loehr 2005; the shuffle theorem, Carlsson-Mellit 2018).
@@ -47,14 +63,21 @@ def _compositions(total, parts):
                  for rest in _compositions(total - first, parts - 1))
 
 
-def _slice_dim(ncols, rows):
-    """ncols minus the rank of the sparse rows, eliminated last leading
-    column first."""
+def _slice_echelon(ncols, rows):
+    """RowReducer of the sparse rows, eliminated last leading column
+    first, stopped as soon as every one of the ncols columns is a pivot."""
     red = RowReducer()
     for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
         if red.add(row) and red.rank == ncols:
-            return 0
-    return ncols - red.rank
+            break
+    return red
+
+
+def _monomials(m, i, j):
+    """The columns of slice (i, j): the exponent pairs (xe, ye) of its
+    monomials in the 2(m-1) remaining variables, in lexicographic order."""
+    n = m - 1
+    return list(itertools.product(_compositions(i, n), _compositions(j, n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,20 +107,20 @@ def _pack(xe, ye, base):
     return code
 
 
-def dc_entry(m, i, j):
+def dc_entry(m, i, j, leads=None):
     """dim of the bidegree (i, j) component of DC_m.
 
     The slice is taken in Q[x_1..x_{m-1}, y_1..y_{m-1}] modulo the
     images of p_{a,b}, 2 <= a+b <= m, which has the same dimension (see
-    the module docstring).  Its columns are the monomials of bidegree
-    (i, j) in lexicographic order of (xe, ye); its rows are each
-    generator image times each monomial of the complementary bidegree,
-    and _slice_dim eliminates them leading column largest first."""
+    the module docstring).  Its columns are _monomials(m, i, j); its
+    rows are each generator image times each monomial of the
+    complementary bidegree, eliminated leading column largest first.
+    A given set `leads` receives the leading monomials of the ideal in
+    the slice, as exponent tuples xe + ye."""
     n = m - 1
     base = max(i, j) + 1
-    cols = {_pack(xe, ye, base): k
-            for k, (xe, ye) in enumerate(itertools.product(
-                _compositions(i, n), _compositions(j, n)))}
+    monos = _monomials(m, i, j)
+    cols = {_pack(xe, ye, base): k for k, (xe, ye) in enumerate(monos)}
     rows = []
     for a in range(0, m + 1):
         for b in range(0, m + 1 - a):
@@ -108,7 +131,38 @@ def dc_entry(m, i, j):
                 for ye in _compositions(j - b, n):
                     shift = _pack(xe, ye, base)
                     rows.append({cols[shift + code]: c for code, c in terms})
-    return _slice_dim(len(cols), rows)
+    red = _slice_echelon(len(monos), rows)
+    if leads is not None:
+        leads.update(monos[k][0] + monos[k][1] for k in red.echelon)
+    return len(monos) - red.rank
+
+
+class _Every:
+    """The leading monomials of a slice the ideal fills: all of them."""
+
+    def __contains__(self, mono):
+        return True
+
+
+_EVERY = _Every()
+
+
+def _covered(m, i, j, below):
+    """True when every monomial of slice (i, j) is v*u, with u a leading
+    monomial of slice (i-1, j) and v an x, or of slice (i, j-1) and v a
+    y.  below maps a slice of the previous shell to its leading
+    monomials (exponent tuples xe + ye)."""
+    n = m - 1
+    left = below.get((i - 1, j), ())
+    down = below.get((i, j - 1), ())
+    for xe, ye in _monomials(m, i, j):
+        e = xe + ye
+        for t, k in enumerate(e):
+            if k and e[:t] + (k - 1,) + e[t + 1:] in (left if t < n else down):
+                break
+        else:
+            return False
+    return True
 
 
 def dc_table(m):
@@ -120,8 +174,18 @@ def dc_table(m):
 def _dc_table(m):
     out = {}
     cap = m * m + 2
+    leads = {}
     for d in range(cap + 1):
-        shell = {(i, d - i): dc_entry(m, i, d - i) for i in range(d + 1)}
+        below, leads = leads, {}
+        shell = {}
+        for i in range(d + 1):
+            key = (i, d - i)
+            if _covered(m, i, d - i, below):
+                leads[key] = _EVERY
+                shell[key] = 0
+            else:
+                leads[key] = set()
+                shell[key] = dc_entry(m, i, d - i, leads=leads[key])
         if d > 0 and not any(shell.values()):
             return out
         for key, val in shell.items():

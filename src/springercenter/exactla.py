@@ -94,10 +94,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
-
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"

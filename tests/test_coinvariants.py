@@ -1,13 +1,15 @@
 import itertools
 import math
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from springercenter import coinvariants
 from springercenter.rootdata import poincare_polynomial
 from springercenter.coinvariants import (
     dc_entry, dc_table, expected_diamond_from_dc,
-    pf_table, _compositions, _slice_dim, _substituted,
+    pf_table, _compositions, _dc_table, _monomials, _slice_echelon, _substituted,
 )
 from springercenter.bgg import hodge_diamond
 
@@ -66,7 +68,86 @@ def _dc_entry_full(m, i, j):
                         col = idx[(tuple(xs), tuple(ys))]
                         row[col] = row.get(col, 0) + 1
                     rows.append(row)
-    return _slice_dim(len(monos), rows)
+    return len(monos) - _slice_echelon(len(monos), rows).rank
+
+
+def _dc_table_eliminated(m):
+    """dc_table(m) with every slice eliminated, shell by shell, up to
+    and including the first shell that vanishes."""
+    out = {}
+    for d in range(m * m + 3):
+        shell = {(i, d - i): dc_entry(m, i, d - i) for i in range(d + 1)}
+        if d > 0 and not any(shell.values()):
+            return out
+        out.update((key, val) for key, val in shell.items() if val)
+    raise AssertionError("DC_%d did not vanish" % m)
+
+
+def _eliminated_slices(m):
+    """(table, slices): _dc_table(m) computed afresh, and the slices it
+    handed to dc_entry, in call order."""
+    seen = []
+    real = coinvariants.dc_entry
+
+    def spy(m_, i, j, **kwargs):
+        seen.append((i, j))
+        return real(m_, i, j, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coinvariants, "dc_entry", spy)
+        table = _dc_table.__wrapped__(m)
+    return table, seen
+
+
+def test_every_slice_the_certificate_skips_eliminates_to_zero():
+    for m in (1, 2, 3, 4):
+        table, seen = _eliminated_slices(m)
+        top = max(i + j for i, j in table) + 1
+        skipped = [(i, d - i) for d in range(top + 1) for i in range(d + 1)
+                   if (i, d - i) not in seen]
+        for i, j in skipped:
+            assert dc_entry(m, i, j) == 0, (m, i, j)
+        assert table == dc_table(m) == _dc_table_eliminated(m)
+
+
+def test_certificate_skips_the_vanishing_shell_and_nothing_it_cannot_cover():
+    table, seen = _eliminated_slices(4)
+    assert len(seen) == 28 == len(set(seen))
+    assert max(i + j for i, j in seen) == 6 == max(i + j for i, j in table)
+    # at m = 2 shell 2 holds new generators p_{2,0}, p_{1,1}, p_{0,2}
+    # on top of a shell with no ideal, so it has to be eliminated
+    _, seen = _eliminated_slices(2)
+    assert sorted(seen) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+@st.composite
+def shifted_pairs(draw):
+    """(m, i, j, v, p, q): a slice of DC_m, one of its 2(m-1) variables
+    v and two column positions p <= q."""
+    m = draw(st.integers(2, 4))
+    i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    ncols = len(_monomials(m, i, j))
+    p = draw(st.integers(0, ncols - 1))
+    q = draw(st.integers(p, ncols - 1))
+    return m, i, j, draw(st.integers(0, 2 * m - 3)), p, q
+
+
+@given(shifted_pairs())
+@settings(max_examples=100, deadline=None)
+def test_multiplying_by_a_variable_keeps_the_column_order(case):
+    # the certificate reads v * (leading monomial) as a leading monomial
+    m, i, j, v, p, q = case
+    n = m - 1
+
+    def times_v(mono):
+        e = list(mono[0] + mono[1])
+        e[v] += 1
+        return tuple(e[:n]), tuple(e[n:])
+
+    cols = _monomials(m, i, j)
+    shifted = _monomials(m, i + (v < n), j + (v >= n))
+    a, b = (shifted.index(times_v(cols[k])) for k in (p, q))
+    assert (a < b) == (p < q) and (a == b) == (p == q)
 
 
 def test_substituted_slices_match_full_variable_slices():
@@ -169,7 +250,7 @@ def test_parking_function_series_at_m5():
 def slices(draw):
     """(ncols, rows): small integer rows over ncols columns.  Half the
     draws add every unit vector and a second copy of e_0, so the rank
-    reaches ncols before the last row and _slice_dim exits early."""
+    reaches ncols before the last row and _slice_echelon stops early."""
     ncols = draw(st.integers(1, 6))
     row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3),
                           max_size=ncols)
@@ -186,4 +267,4 @@ def test_slice_dim_is_corank_under_any_row_order(slice_, data):
     rows = data.draw(st.permutations(rows))
     dense = sp.Matrix(len(rows), ncols, lambda r, c: rows[r].get(c, 0))
     rank = dense.rank() if rows else 0
-    assert _slice_dim(ncols, rows) == ncols - rank
+    assert _slice_echelon(ncols, rows).rank == rank
