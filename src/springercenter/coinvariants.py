@@ -24,6 +24,18 @@ the echelon fills in less.  The rank does not depend on the order in
 which rows are added, so neither does any dimension.  The substitution
 shrinks each slice and leaves this order as it is.
 
+Swapping x_t <-> y_t for every t is a ring automorphism sigma of
+Q[x_1..x_m, y_1..y_m].  It sends p_{a,b} to p_{b,a}, so it maps the
+ideal onto itself and slice (i, j) onto slice (j, i), and the two have
+one dimension (Haiman 2002).  Write phi for the substitution and tau
+for the swap x_t <-> y_t, t < m.  Then phi(sigma(x_m)) = phi(y_m) =
+-(y_1+...+y_{m-1}) = tau(phi(x_m)), likewise for y_m, and the other
+variables are fixed by phi, so phi sigma = tau phi.  Hence tau maps the
+substituted ideal onto itself and the substituted slice (i, j) onto
+(j, i), and the smaller ring keeps the symmetry.  _dc_table therefore
+computes only the slices with i <= j and writes each value to both
+(i, j) and (j, i).
+
 A slice can be proved zero without building a row.  Its columns are in
 lexicographic order of the exponent vector xe + ye, and adding the same
 exponent vector to two monomials keeps their lexicographic order, so
@@ -36,9 +48,23 @@ Then picking one such v*g_u per monomial gives ideal elements whose
 leading monomials are distinct and cover every column, so the slice has
 full rank and dimension 0.  _dc_table checks this cover on the pivots of
 the previous shell and eliminates only the slices it leaves open; a
-slice proved zero counts as having every monomial leading.  At m = 3, 4
-and 5 the cover proves the whole vanishing shell; at m = 2 the shell of
-degree 2 carries new generators over an empty ideal and is eliminated.
+slice proved zero counts as having every monomial leading.
+
+The cover reads leading monomials in the x-first order only.  A slice
+(i, j) with i > j is never eliminated, so its leads in that order are
+unknown, and they are not the tau images of the leads of (j, i): tau
+turns x^xe y^ye into x^ye y^xe, so it carries the x-first order of one
+slice to the y-first order of its mirror.  A slice with i < j needs
+only (i-1, j) and (i, j-1), both with first index <= second.  A
+diagonal slice (i, i) has only (i-1, i) of its two neighbours
+eliminated, so it is covered by x-multiples alone and eliminated when
+they leave a column open.  The vanishing shell has odd degree
+m(m-1)/2 + 1 at m = 4 and 5, so it holds no diagonal slice, and the
+cover proves all of it: at m = 4 _dc_table eliminates 16 slices (all
+of shells 0-6 with i <= j), and at m = 5 it eliminates 36, none of
+shell 11.  At m = 3 the vanishing shell 4 holds (2, 2), which is
+eliminated, to 0; at m = 2 the shell of degree 2 carries new
+generators over an empty ideal and is eliminated.
 
 pf_table is an independent check that uses no linear algebra: the
 Hilbert series of DC_m as a sum over parking functions (Haiman 2002;
@@ -151,7 +177,10 @@ def _covered(m, i, j, below):
     """True when every monomial of slice (i, j) is v*u, with u a leading
     monomial of slice (i-1, j) and v an x, or of slice (i, j-1) and v a
     y.  below maps a slice of the previous shell to its leading
-    monomials (exponent tuples xe + ye)."""
+    monomials (exponent tuples xe + ye) in the x-first order of the
+    columns; a slice missing from below offers none.  _dc_table leaves
+    out every slice with i > j, so a diagonal slice is covered by
+    x-multiples only (see the module docstring)."""
     n = m - 1
     left = below.get((i - 1, j), ())
     down = below.get((i, j - 1), ())
@@ -172,13 +201,18 @@ def dc_table(m):
 
 @functools.lru_cache(maxsize=None)
 def _dc_table(m):
+    """dc_table shell by shell: each slice with i <= j is proved zero by
+    _covered or eliminated by dc_entry, and its nonzero value is written
+    to (i, j) and to its mirror (j, i), equal by the x <-> y swap (see
+    the module docstring).  Stops at the first shell after degree 0
+    that vanishes."""
     out = {}
     cap = m * m + 2
     leads = {}
     for d in range(cap + 1):
         below, leads = leads, {}
         shell = {}
-        for i in range(d + 1):
+        for i in range(d // 2 + 1):
             key = (i, d - i)
             if _covered(m, i, d - i, below):
                 leads[key] = _EVERY
@@ -188,9 +222,9 @@ def _dc_table(m):
                 shell[key] = dc_entry(m, i, d - i, leads=leads[key])
         if d > 0 and not any(shell.values()):
             return out
-        for key, val in shell.items():
+        for (i, j), val in shell.items():
             if val:
-                out[key] = val
+                out[(i, j)] = out[(j, i)] = val
     raise AssertionError("DC_%d did not terminate below total degree %d" % (m, cap))
 
 
