@@ -17,8 +17,15 @@ per source node; exactla.block_complex lays the blocks out.
 The resolution of the trivial module is generated for every m: nodes are
 reduced words of Weyl group elements, and the arrow of a Bruhat cover
 w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
-weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  The data
-is validated structurally: reduced words, full Weyl group coverage, weight
+weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  Each
+singular vector is written on the words kept by the Serre quotient of
+its weight.  Its coefficients, and the scalars that make the two paths
+through each length-2 interval cancel, are solved in PBW coordinates of
+U(n^-), where each product is straightened by the root-vector brackets
+(de Graaf 2000), with no ideal to eliminate.  Both bases represent
+U(n^-) faithfully and kernel_basis normalises each line through its
+RREF, so the solutions do not depend on the basis.  The data is
+validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
 
 A diamond entry is one degree i of one component's profile, and H^i
@@ -43,25 +50,51 @@ from .bmodule import serre_relations
 log = logging.getLogger(__name__)
 
 
+def _accumulate(out, terms, c):
+    """out += c * terms, both dicts to int, dropping zero entries."""
+    for key, v in terms.items():
+        v = out.get(key, 0) + c * v
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
 class _Enveloping:
-    """Weight spaces of U(n^-), words in the f_i read as products modulo
-    the two-sided Serre ideal, keyed by the tuple of letter counts."""
+    """Weight spaces of U(n^-).  `line` solves its scalars in PBW
+    coordinates: root vectors f_(a,b) = E_ba in rootdata.positive_roots(m)
+    order, monomials as non-decreasing index tuples.  Words in the f_i
+    read as products modulo the two-sided Serre ideal (`space`, keyed by
+    the tuple of letter counts) give only `singular` its kept words."""
 
     def __init__(self, m):
         self.m, self._spaces = m, {}
         self.relations = serre_relations(m)
+        roots = rootdata.positive_roots(m)
+        index = {r: t for t, r in enumerate(roots)}
+        self._simple = {i: index[i - 1, i] for i in range(1, m)}
+        # (y, x) -> (sign, z) with [f_y, f_x] = sign f_z, for x < y, from
+        # [E_ba, E_dc] = delta_ad E_bc - delta_cb E_da
+        self._bracket = {}
+        for y, (a, b) in enumerate(roots):
+            for x, (c, d) in enumerate(roots[:y]):
+                if a == d:
+                    self._bracket[y, x] = (1, index[c, b])
+                elif c == b:
+                    self._bracket[y, x] = (-1, index[a, d])
+        self._products, self._words = {}, {(): {(): 1}}
 
     def space(self, counts):
-        """(words in lexicographic order, word -> column, RowReducer of
-        the ideal: each relation times every word, and f_i times the
+        """(words in lexicographic order, RowReducer of the ideal on their
+        columns: each relation times every word, and f_i times the
         ideal).  The words off its pivots are a basis of the quotient."""
         if counts not in self._spaces:
             lower = [(i, self.space(counts[:i - 1] + (counts[i - 1] - 1,) + counts[i:]))
                      for i in range(1, self.m) if counts[i - 1]]
-            words = [(i,) + w for i, (ws, _, _) in lower for w in ws] or [()]
+            words = [(i,) + w for i, (ws, _) in lower for w in ws] or [()]
             index = {w: c for c, w in enumerate(words)}
             vectors = [{index[(i,) + ws[c]]: v for c, v in row.items()}
-                       for i, (ws, _, red) in lower for row in red.echelon.values()]
+                       for i, (ws, red) in lower for row in red.echelon.values()]
             for rel in self.relations:
                 rest = tuple(n - rel[0][1].count(i + 1) for i, n in enumerate(counts))
                 if min(rest) >= 0:
@@ -69,21 +102,44 @@ class _Enveloping:
             red = RowReducer()
             for vec in vectors:
                 red.add(vec)
-            self._spaces[counts] = (words, index, red)
+            self._spaces[counts] = (words, red)
         return self._spaces[counts]
+
+    def _times(self, mono, x):
+        """mono f_x in PBW coordinates, straightened by f_y f_x = f_x f_y + [f_y, f_x]."""
+        if (mono, x) not in self._products:
+            if not mono or mono[-1] <= x:
+                out = {mono + (x,): 1}
+            else:
+                out, y = {}, mono[-1]
+                for head, c in self._times(mono[:-1], x).items():
+                    _accumulate(out, self._times(head, y), c)
+                if (y, x) in self._bracket:
+                    sign, z = self._bracket[y, x]
+                    _accumulate(out, self._times(mono[:-1], z), sign)
+            self._products[mono, x] = out
+        return self._products[mono, x]
+
+    def pbw(self, word):
+        """The product of the word's f_i (word[0] leftmost) in PBW
+        coordinates, monomial -> int, memoised per prefix."""
+        if word not in self._words:
+            out = {}
+            for mono, c in self.pbw(word[:-1]).items():
+                _accumulate(out, self._times(mono, self._simple[word[-1]]), c)
+            self._words[word] = out
+        return self._words[word]
 
     def line(self, columns):
         """Coprime integers x with sum over col of x[col] columns[col][key]
-        in the ideal for every key, or None unless they form one line."""
+        zero in U(n^-) for every key, or None unless they form one line."""
         rows = {}
         for col, combos in enumerate(columns):
             for key, terms in combos.items():
-                _, index, red = self.space(tuple(terms[0][1].count(i) for i in range(1, self.m)))
-                vec = {}
                 for c, w in terms:
-                    vec[index[w]] = vec.get(index[w], 0) + c
-                for r, v in red.reduce(vec).items():
-                    rows.setdefault((key, r), {})[col] = v
+                    for mono, v in self.pbw(w).items():
+                        row = rows.setdefault((key, mono), {})
+                        row[col] = row.get(col, 0) + c * v
         kernel = kernel_basis(SparseMatrix.from_rows(list(rows.values()), len(columns)))
         if len(kernel) != 1:
             return None
@@ -95,7 +151,7 @@ class _Enveloping:
         """The u of weight `counts` with u v_mu singular in M(mu), on the kept
         words.  As [e_j, f_i] = delta_ij h_j, e_j f_{i_1} ... f_{i_h} v_mu sums
         over i_p = j the word without f_{i_p} times <mu - sum_{q>p} alpha_{i_q}, alpha_j^vee>."""
-        words, _, red = self.space(counts)
+        words, red = self.space(counts)
         kept = [w for c, w in enumerate(words) if c not in red.echelon]
         columns = [{} for _ in kept]
         for combos, word in zip(columns, kept):

@@ -15,7 +15,9 @@ Results go to stdout: diamond renders json, csv, latex or pretty text,
 cohomology json, csv or pretty, compare-dc json or pretty plain lines,
 and verify one PASS/FAIL line per suite of checks.SUITES.  Diagnostics go
 to stderr.  Exit codes: 0 success/match, 1 computation or usage error
-(including parse errors), 2 a verification or comparison mismatch.
+(including parse errors, and diamond, compare-dc or verify at m above
+MAX_DIAMOND_M, refused before anything is built), 2 a verification or
+comparison mismatch.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from . import bmodule, springer, bgg, ce_oracle, coinvariants, checks
 log = logging.getLogger("springercenter")
 
 CACHE_ENV = "SPRINGERCENTER_CACHE"
+MAX_DIAMOND_M = 5  # the largest m whose whole diamond fits in memory
 
 
 class ParseError(Exception):
@@ -494,6 +497,11 @@ def main(argv=None):
                         format="%(levelname)s %(message)s")
     if getattr(args, "m", None) is not None and args.m < 2:
         log.error("need m >= 2")
+        return 1
+    if args.fn in (cmd_diamond, cmd_compare_dc, cmd_verify) and args.m > MAX_DIAMOND_M:
+        log.error("%s --m %d refused: the whole diamond is built only for m <= %d, "
+                  "as some sl6 entries have terms of over 18 million dims",
+                  args.command, args.m, MAX_DIAMOND_M)
         return 1
     try:
         return args.fn(args)

@@ -9,6 +9,7 @@ of {0,...,m-1}; s_i swaps positions i-1 and i.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,11 +54,11 @@ def root_weight(m, a, b):
 
 
 def add(lam, mu):
-    return tuple(x + y for x, y in zip(lam, mu))
+    return tuple(map(operator.add, lam, mu))
 
 
 def sub(lam, mu):
-    return tuple(x - y for x, y in zip(lam, mu))
+    return tuple(map(operator.sub, lam, mu))
 
 
 def lowering_path(m, mu, word):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -13,8 +14,9 @@ from springercenter.bgg import (
     hodge_entry, hodge_diamond,
 )
 from springercenter.bmodule import (
-    adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge, sym,
+    adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge, sym, serre_relations,
 )
+from springercenter.exactla import RowReducer
 from springercenter.ce_oracle import ce_cohomology
 from helpers import character
 
@@ -56,16 +58,82 @@ def _kostant(counts, roots):
     return total
 
 
-def test_serre_quotient_has_the_pbw_dimension():
-    # PBW: dim U(n^-) at a weight is the Kostant partition number
+def _serre_quotients():
+    """(env, counts, words, reducer of the Serre ideal, Kostant number)
+    at every nonzero weight with at most 3 of each f_i for sl3, 2 for sl4."""
     for m, top in [(3, 3), (4, 2)]:
         env = bgg._Enveloping(m)
         roots = [tuple(1 if a < i <= b else 0 for i in range(1, m))
                  for a in range(m) for b in range(a + 1, m)]
         for counts in itertools.product(range(top + 1), repeat=m - 1):
             if any(counts):
-                words, _, reducer = env.space(counts)
-                assert len(words) - reducer.rank == _kostant(counts, roots), counts
+                words, reducer = env.space(counts)
+                yield env, counts, words, reducer, _kostant(counts, roots)
+
+
+def test_serre_quotient_has_the_pbw_dimension():
+    # PBW: dim U(n^-) at a weight is the Kostant partition number
+    for _, counts, words, reducer, kostant in _serre_quotients():
+        assert len(words) - reducer.rank == kostant, counts
+
+
+def _straighten(env, terms):
+    out = {}
+    for c, word in terms:
+        bgg._accumulate(out, env.pbw(word), c)
+    return out
+
+
+def test_serre_relations_straighten_to_zero():
+    for m in range(2, 7):
+        env = bgg._Enveloping(m)
+        for rel in serre_relations(m):
+            assert _straighten(env, rel) == {}, (m, rel)
+
+
+def test_straightening_is_associative():
+    # (f_x f_y) f_z = f_x (f_y f_z) on every triple of root vectors: the
+    # Jacobi identity of the bracket table, which no Serre relation sees
+    for m in range(2, 7):
+        env = bgg._Enveloping(m)
+
+        def times(p, q):
+            out = {}
+            for mono, c in q.items():
+                prod = p
+                for x in mono:
+                    step = {}
+                    for head, v in prod.items():
+                        bgg._accumulate(step, env._times(head, x), v)
+                    prod = step
+                bgg._accumulate(out, prod, c)
+            return out
+
+        for x, y, z in itertools.product(range(len(rootdata.positive_roots(m))), repeat=3):
+            fx, fy, fz = {(x,): 1}, {(y,): 1}, {(z,): 1}
+            assert times(times(fx, fy), fz) == times(fx, times(fy, fz)), (m, x, y, z)
+
+
+def test_pbw_normal_form_is_the_serre_quotient():
+    # the words' PBW images span the Kostant number of monomials, and
+    # every echelon row of the Serre ideal maps to zero
+    for env, counts, words, reducer, kostant in _serre_quotients():
+        images = [env.pbw(w) for w in words]
+        column = {mono: c for c, mono in enumerate({mono for im in images for mono in im})}
+        span = RowReducer()
+        for im in images:
+            span.add({column[mono]: v for mono, v in im.items()})
+        assert span.rank == len(column) == kostant, counts
+        for row in reducer.echelon.values():
+            assert _straighten(env, [(v, words[c]) for c, v in row.items()]) == {}, counts
+
+
+def test_bgg_data_5_is_pinned():
+    # arrows, nodes and node weights of the generated sl5 resolution
+    data = bgg_data(5)
+    digest = hashlib.sha256(repr((sorted(data.arrows.items()), data.nodes,
+                                  sorted(data.weight.items()))).encode()).hexdigest()
+    assert digest == "34ea3932014d23fa69d9aee6a58263698897100c76d96b37fc837a0f53acf9d8"
 
 
 def test_generated_sl3_arrows_are_the_classical_singular_vectors():

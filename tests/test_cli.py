@@ -363,3 +363,16 @@ def test_parallel_ce_diamond_matches_serial(tmp_path, monkeypatch, capsys):
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(["diamond"], capsys)  # missing --m
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["diamond", "compare-dc", "verify"])
+def test_whole_diamond_past_sl5_is_refused_before_building(command, tmp_path, monkeypatch,
+                                                           capsys):
+    # an sl6 diamond reaches terms of 18.3M dims; it must stop before
+    # the resolution is even generated
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    called = []
+    monkeypatch.setattr(bgg, "bgg_data", lambda m: called.append(m))
+    for m in ("6", "7"):
+        assert run([command, "--m", m], capsys)[:2] == (1, "")
+    assert called == []
