@@ -43,7 +43,7 @@ import logging
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactla import SparseMatrix, RowReducer, block_complex, kernel_basis
+from .exactla import RowReducer, block_complex, kernel_basis
 from . import rootdata, springer
 from .bmodule import serre_relations
 
@@ -140,7 +140,7 @@ class _Enveloping:
                     for mono, v in self.pbw(w).items():
                         row = rows.setdefault((key, mono), {})
                         row[col] = row.get(col, 0) + c * v
-        kernel = kernel_basis(SparseMatrix.from_rows(list(rows.values()), len(columns)))
+        kernel = kernel_basis(rows.values(), len(columns))
         if len(kernel) != 1:
             return None
         den = lcm(*[v.denominator for v in kernel[0].values()])

@@ -18,7 +18,9 @@ A word in the f_i acts through word_matrices, which forms the product
 of the lowering matrices along every prefix of the words it is given;
 serre_relations lists the relations those products must satisfy.  A
 negative root vector acts through root_lower_matrix, a nested
-commutator of two products per level.  Neither keeps a cache:
+commutator formed per level as one accumulation of its two products
+(exactla.product_sum), with no product formed on its own.  Neither
+keeps a cache:
 word_matrices memoises within one call, root_lower_matrix in the dict
 its caller passes, so a product is formed once per computation and
 nothing outlives it.
@@ -27,7 +29,7 @@ nothing outlives it.
 import itertools
 from functools import lru_cache
 
-from .exactla import SparseMatrix, RowReducer
+from .exactla import SparseMatrix, RowReducer, product_sum
 from . import rootdata
 
 
@@ -184,7 +186,7 @@ class BModule:
 
         memo, a dict (root, mu) -> matrix, is passed down to both inner
         calls, f_{(a,b-1)} at mu and at mu - alpha_b, so that each
-        non-simple key it holds is formed once, by its two products.  As
+        non-simple key it holds is formed once, by one product_sum.  As
         in word_matrices, the memo lives only as long as the caller's
         dict: no cache is kept on the module or globally, so nothing
         holds a module's matrices after the computation that asked for
@@ -196,15 +198,11 @@ class BModule:
             return memo[(root, mu)]
         inner = self.root_lower_matrix((a, b - 1), mu, memo)
         mid1 = rootdata.sub(mu, rootdata.root_weight(self.m, a, b - 1))
-        first = self.lower_matrix(b, mu)
         mid2 = rootdata.sub(mu, rootdata.simple_root(self.m, b))
         # [f_b, f_{(a,b-1)}] = f_b f_{(a,b-1)} - f_{(a,b-1)} f_b
-        t1 = self.lower_matrix(b, mid1).matmul(inner)
-        t2 = self.root_lower_matrix((a, b - 1), mid2, memo).matmul(first)
-        out = dict(t1.entries)
-        for k, v in t2.entries.items():
-            out[k] = out.get(k, 0) - v
-        mat = SparseMatrix(t1.nrows, t1.ncols, out)
+        mat = product_sum([(1, self.lower_matrix(b, mid1), inner),
+                           (-1, self.root_lower_matrix((a, b - 1), mid2, memo),
+                            self.lower_matrix(b, mu))])
         if memo is not None:
             memo[(root, mu)] = mat
         return mat
@@ -310,12 +308,9 @@ def _elementwise(mod):
         mu, idx, _ = basis[g]
         key = (i, mu)
         if key not in cols_cache:
-            mat = mod.lower_matrix(i, mu)
             target = rootdata.sub(mu, rootdata.simple_root(mod.m, i))
-            cols = {}
-            for (r, c), v in mat.entries.items():
-                cols.setdefault(c, {})[gid_of[(target, r)]] = v
-            cols_cache[key] = cols
+            cols_cache[key] = {c: {gid_of[(target, r)]: v for r, v in col.items()}
+                               for c, col in mod.lower_matrix(i, mu).cols.items()}
         return cols_cache[key].get(idx, {})
 
     return basis, act
@@ -430,10 +425,13 @@ def dual(a):
             if src not in a.spaces:
                 continue
             mat = a.lower_matrix(i, mu)
-            ent = {(c, r): -v for (r, c), v in mat.entries.items()}
-            if ent:
+            cols = {}
+            for c, col in mat.cols.items():
+                for r, v in col.items():
+                    cols.setdefault(r, {})[c] = -v
+            if cols:
                 neg_src = tuple(-c for c in src)
-                lower[(i, neg_src)] = SparseMatrix(mat.ncols, mat.nrows, ent)
+                lower[(i, neg_src)] = SparseMatrix.from_cols(mat.ncols, mat.nrows, cols)
     return BModule(a.m, spaces, lower, name="dual(%s)" % a.name)
 
 
@@ -533,9 +531,11 @@ def check_serre(mod):
         for rel in relations:
             acc = {}
             for coeff, word in rel:
-                for k, v in prods[word][1].entries.items():
-                    acc[k] = acc.get(k, 0) + coeff * v
-            if any(acc.values()):
+                for c, col in prods[word][1].cols.items():
+                    out = acc.setdefault(c, {})
+                    for r, v in col.items():
+                        out[r] = out.get(r, 0) + coeff * v
+            if any(any(out.values()) for out in acc.values()):
                 i, j = rel[0][1][0], rel[0][1][-1]
                 raise SerreRelationFails(
                     "Serre relation (%d,%d) fails at weight %r" % (i, j, mu))

@@ -6,11 +6,16 @@ matrices over Q, so this module keeps those primitives in one place,
 along with block_complex, the one layout of a cochain complex.
 A rational is held in canonical form: an int when it is integral,
 otherwise a Fraction.  Most matrices in the pipeline are integral, and
-int arithmetic costs far less than Fraction arithmetic.  The primitives
-share one elimination kernel, RowReducer: a fraction-free integer
-echelon, exact over Q, which clears denominators once per vector (not
-at all when every value is an int) and works on Python ints after that.
-No floating point anywhere.
+int arithmetic costs far less than Fraction arithmetic.  A matrix is
+stored by columns, each a dict row -> value, the form that every
+consumer reads: products are formed by one kernel, product_sum, which
+accumulates each column of a sum of products in its own dict; ranks
+eliminate the columns as they are stored; block_complex lays whole
+columns out at their offsets.  The primitives share one elimination
+kernel, RowReducer: a fraction-free integer echelon, exact over Q,
+which clears denominators once per vector (not at all when every value
+is an int) and works on Python ints after that.  No floating point
+anywhere.
 
 Ranks are taken on column images: the rank of d is the rank of the
 vectors d(e_j).  For a complex this allows "clearing", the step of
@@ -28,6 +33,7 @@ the total cohomology dimension.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from types import MappingProxyType
 
 
 class NotAComplex(Exception):
@@ -44,29 +50,41 @@ def canonical(v):
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Q.
+    """Immutable-by-convention sparse matrix over Q, stored by columns.
 
-    Entries live in a dict keyed by (row, col); zeros are never stored,
-    and every stored value is canonical: an int exactly when it is
-    integral, otherwise a Fraction.  The constructor stores an int as it
-    is, since most entries are ints and already canonical, and passes
-    only other values through canonical(); every entry, int or not, is
-    bounds-checked.  apply() and matmul() go through a per-column index
-    that is built on first use and never refreshed, so neither the
-    matrix nor its entries dict may change after construction.
+    mat.cols maps a column to a dict row -> value.  No zero and no empty
+    column is stored, and every value is canonical: an int exactly when
+    it is integral, otherwise a Fraction.  The public constructor takes
+    entries keyed by (row, col) and bounds-checks every one; it stores an
+    int as it is, since most entries are ints and already canonical, and
+    passes only other values through canonical().  Products, ranks and
+    block layouts read and write the columns directly, and the matrices
+    they form go through from_cols, which trusts its input.  Neither the
+    matrix nor its column dicts may change after construction.
     """
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
-        self._cols = None
+        self.cols = cols = {}
         if entries:
             for (r, c), v in entries.items():
                 if v:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise IndexError("entry (%d,%d) outside %dx%d" % (r, c, nrows, ncols))
-                    self.entries[(r, c)] = v if type(v) is int else canonical(v)
+                    col = cols.get(c)
+                    if col is None:
+                        col = cols[c] = {}
+                    col[r] = v if type(v) is int else canonical(v)
+
+    @classmethod
+    def from_cols(cls, nrows, ncols, cols):
+        """The matrix whose columns are cols, stored as given: every
+        column must be nonempty and inside the shape, and every value
+        nonzero and canonical.  Nothing is checked or copied."""
+        mat = cls.__new__(cls)
+        mat.nrows, mat.ncols, mat.cols = nrows, ncols, cols
+        return mat
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -78,63 +96,91 @@ class SparseMatrix:
             ncols = max((c + 1 for _, c in entries), default=0)
         return cls(len(rows), ncols, entries)
 
-    def _columns(self):
-        """col -> flat list row, value, row, value, ... of the stored
-        entries, built once; flat, so that no tuple is kept per entry."""
-        if self._cols is None:
-            cols = {}
-            for (r, c), v in self.entries.items():
-                cols.setdefault(c, []).extend((r, v))
-            self._cols = cols
-        return self._cols
+    @property
+    def entries(self):
+        """A read-only (row, col) -> value view, built in O(nnz) on each
+        call, column by column."""
+        return MappingProxyType({(r, c): v for c, col in self.cols.items()
+                                 for r, v in col.items()})
 
     def rows(self):
         out = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
+        for c, col in self.cols.items():
+            for r, v in col.items():
+                out[r][c] = v
         return out
 
     def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch %dx%d @ %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = self._columns()
-        out = {}
-        get = out.get
-        for (k, c), w in other.entries.items():
-            col = cols.get(k)
-            if col:
-                it = iter(col)
-                for r, v in zip(it, it):
-                    key = (r, c)
-                    out[key] = get(key, 0) + v * w
-        return SparseMatrix(self.nrows, other.ncols, out)
+        return product_sum([(1, self, other)])
 
     def apply(self, vec):
         """Apply to a sparse vector (dict col -> value); returns a dict.
 
         Only the columns that vec touches are visited."""
-        cols = self._columns()
+        cols = self.cols
         out = {}
         get = out.get
         for c, x in vec.items():
             col = cols.get(c)
             if col:
-                it = iter(col)
-                for r, v in zip(it, it):
+                for r, v in col.items():
                     out[r] = get(r, 0) + v * x
         return {r: v for r, v in out.items() if v}
 
     def is_zero(self):
-        return not self.entries
+        return not self.cols
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.entries == other.entries)
+                and self.cols == other.cols)
 
     def __repr__(self):
-        return "SparseMatrix(%dx%d, nnz=%d)" % (self.nrows, self.ncols, len(self.entries))
+        return "SparseMatrix(%dx%d, nnz=%d)" % (
+            self.nrows, self.ncols, sum(map(len, self.cols.values())))
+
+
+def _finish(nrows, ncols, acc):
+    """from_cols on columns summed in place: zeros and then empty
+    columns are dropped, and values that are not ints made canonical."""
+    cols = {}
+    for c, col in acc.items():
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
+        if col:
+            for r, v in col.items():
+                if type(v) is not int:
+                    col[r] = canonical(v)
+            cols[c] = col
+    return SparseMatrix.from_cols(nrows, ncols, cols)
+
+
+def product_sum(terms):
+    """The sum of coeff * a @ b over the (coeff, a, b) of terms, all of
+    one shape.  This is the one product kernel: each column of the sum
+    accumulates in its own dict, a column of b at a time, so no
+    intermediate product is formed.  Columns and their rows come in the
+    order they are first reached."""
+    nrows, ncols = terms[0][1].nrows, terms[0][2].ncols
+    acc = {}
+    for coeff, a, b in terms:
+        if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
+            raise ValueError("shape mismatch %dx%d @ %dx%d in a %dx%d sum"
+                             % (a.nrows, a.ncols, b.nrows, b.ncols, nrows, ncols))
+        acols = a.cols
+        for c, bcol in b.cols.items():
+            out = acc.get(c)
+            if out is None:
+                out = acc[c] = {}
+            get = out.get
+            for k, w in bcol.items():
+                acol = acols.get(k)
+                if acol:
+                    if coeff != 1:
+                        w *= coeff
+                    for r, v in acol.items():
+                        out[r] = get(r, 0) + v * w
+    return _finish(nrows, ncols, acc)
 
 
 def _integer_row(vec):
@@ -275,11 +321,10 @@ def _image_reducer(mat, cleared=()):
     The last column goes first: on the sl4 complexes that takes a third
     to a half less elimination time than first-column-first order."""
     red = RowReducer()
-    cols = mat._columns()
+    cols = mat.cols
     for c in sorted(cols, reverse=True):
         if c not in cleared:
-            it = iter(cols[c])
-            red.add(dict(zip(it, it)))
+            red.add(cols[c])
     return red
 
 
@@ -287,14 +332,16 @@ def rank(mat):
     return _image_reducer(mat).rank
 
 
-def kernel_basis(mat):
-    """Basis of the right kernel, one sparse dict per free column."""
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of the matrix with the given sparse rows
+    (dicts col -> value) and ncols columns, one sparse dict per free
+    column."""
     red = RowReducer()
-    for row in mat.rows():
+    for row in rows:
         red.add(row)
     rref = red.reduced_rows()
     out = []
-    for c in range(mat.ncols):
+    for c in range(ncols):
         if c in rref:
             continue
         vec = {c: Fraction(1)}
@@ -358,29 +405,37 @@ def block_complex(layers, blocks):
     (node2, coeff, mat): coeff times mat, a dim(node2) x dim(node)
     matrix, is added into the map from term t to term t + 1 at the rows
     of node2 in layers[t + 1] and the columns of node.  Blocks that land
-    on the same position add up.
+    on the same position add up; a block of another shape raises
+    ValueError.  Each column of a map accumulates in its own dict.
     """
     offsets, dims = [], []
     for layer in layers:
         off, total = {}, 0
         for node, d in layer:
-            off[node] = total
+            off[node] = (total, d)
             total += d
         offsets.append(off)
         dims.append(total)
     maps = []
     for t in range(len(layers) - 1):
-        ent = {}
-        get = ent.get
+        acc = {}
         rows = offsets[t + 1]
         for node, d in layers[t]:
             if not d:
                 continue
-            col0 = offsets[t][node]
+            col0 = offsets[t][node][0]
             for node2, coeff, mat in blocks(t, node):
-                row0 = rows[node2]
-                for (r, c), v in mat.entries.items():
-                    key = (row0 + r, col0 + c)
-                    ent[key] = get(key, 0) + coeff * v
-        maps.append(SparseMatrix(dims[t + 1], dims[t], ent))
+                row0, d2 = rows[node2]
+                if (mat.nrows, mat.ncols) != (d2, d):
+                    raise ValueError("block %r -> %r has shape %dx%d, expected %dx%d"
+                                     % (node, node2, mat.nrows, mat.ncols, d2, d))
+                for c, col in mat.cols.items():
+                    out = acc.get(col0 + c)
+                    if out is None:
+                        out = acc[col0 + c] = {}
+                    get = out.get
+                    for r, v in col.items():
+                        r += row0
+                        out[r] = get(r, 0) + coeff * v
+        maps.append(_finish(dims[t + 1], dims[t], acc))
     return CochainComplex(dims, maps)

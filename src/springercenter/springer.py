@@ -356,10 +356,11 @@ class _FactorTables:
         return out
 
     def lowering(self, i, keys, target_index):
-        """Entries (row, col) -> coeff of f_i from the kept labels keys
+        """Columns col -> {row: coeff} of f_i from the kept labels keys
         to the weight whose id-triple index is target_index, in the order
-        that acting on each ambient label and projecting gives."""
-        ent = {}
+        that acting on each ambient label and projecting gives; no zero
+        and no empty column."""
+        cols = {}
         image = self.image
         for col, (mid, gid, nid) in enumerate(keys):
             out = {}
@@ -380,10 +381,11 @@ class _FactorTables:
             for nid2, c in image(i, 2, nid):
                 q = target_index[(mid, gid, nid2)]
                 out[q] = out.get(q, 0) + c
-            for q, v in out.items():
-                if v:
-                    ent[(q, col)] = v
-        return ent
+            if 0 in out.values():
+                out = {q: v for q, v in out.items() if v}
+            if out:
+                cols[col] = out
+        return cols
 
 
 @lru_cache(maxsize=None)
@@ -418,9 +420,10 @@ class VkComponent:
                 # without kept labels at target, f_i maps to zero
                 if target not in self._index:
                     continue
-                ent = tables.lowering(i, keys[mu], self._index[target])
-                if ent:
-                    lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
+                cols = tables.lowering(i, keys[mu], self._index[target])
+                if cols:
+                    lower[(i, mu)] = SparseMatrix.from_cols(len(spaces[target]),
+                                                            len(lbls), cols)
         self.module = BModule(m, spaces, lower, name="V_%d^{-%d}" % (k, 2 * r),
                               window=window)
 
@@ -463,16 +466,8 @@ def trivial_summand_witness(m, k=2, r=1):
     dim0 = mod.weight_dim(zero)
     if dim0 == 0:
         raise WitnessNotInvariant("weight-0 space of V_%d^{-%d} is zero" % (k, 2 * r))
-    rows = {}
-    offset = 0
-    entries = {}
-    for i in range(1, m):
-        mat = mod.lower_matrix(i, zero)
-        for (rr, cc), v in mat.entries.items():
-            entries[(offset + rr, cc)] = v
-        offset += mat.nrows
-    stacked = SparseMatrix(offset, dim0, entries)
-    kern = kernel_basis(stacked)
+    rows = [row for i in range(1, m) for row in mod.lower_matrix(i, zero).rows()]
+    kern = kernel_basis(rows, dim0)
     if not kern:
         raise WitnessNotInvariant(
             "no b-invariant vector in V_%d^{-%d} at weight 0" % (k, 2 * r))

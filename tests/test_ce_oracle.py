@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from springercenter import bgg, springer
-from springercenter.exactla import CochainComplex, SparseMatrix
+from springercenter import bgg, bmodule, exactla, springer
+from springercenter.exactla import CochainComplex
 from springercenter.bmodule import (
     BModule,
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge,
@@ -58,10 +58,11 @@ def test_ce_complexes_are_pinned(monkeypatch):
 
 def test_each_root_matrix_is_formed_once_per_call(monkeypatch):
     # with the per-call memo, root_lower_matrix forms every non-simple
-    # (root, weight) key it reaches by exactly its two products
+    # (root, weight) key it reaches by exactly one two-term product_sum,
+    # and forms no other product (matmul goes through product_sum too)
     mod = springer.build_vk_component(4, 4, 2).module
-    depth, products, keys = [0], [0], set()
-    plain_root, plain_matmul = BModule.root_lower_matrix, SparseMatrix.matmul
+    depth, sums, keys = [0], [], set()
+    plain_root, plain_sum = BModule.root_lower_matrix, exactla.product_sum
 
     def root_spy(self, root, mu, *memo):
         if root[1] > root[0] + 1:
@@ -72,14 +73,16 @@ def test_each_root_matrix_is_formed_once_per_call(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def matmul_spy(self, other):
-        products[0] += depth[0] > 0
-        return plain_matmul(self, other)
+    def sum_spy(terms):
+        if depth[0] > 0:
+            sums.append(len(terms))
+        return plain_sum(terms)
 
     monkeypatch.setattr(BModule, "root_lower_matrix", root_spy)
-    monkeypatch.setattr(SparseMatrix, "matmul", matmul_spy)
+    monkeypatch.setattr(exactla, "product_sum", sum_spy)
+    monkeypatch.setattr(bmodule, "product_sum", sum_spy)
     assert ce_cohomology(mod) == [1, 5, 7, 0, 0, 0, 0]
-    assert keys and products[0] == 2 * len(keys)
+    assert keys and sums == [2] * len(keys)
 
 
 def test_windowed_module_is_refused():

@@ -128,7 +128,7 @@ def test_missing_witness_raises():
 
 
 def test_witness_that_is_not_a_line_raises(monkeypatch):
-    monkeypatch.setattr(springer, "kernel_basis", lambda mat: [{0: 1}, {1: 1}])
+    monkeypatch.setattr(springer, "kernel_basis", lambda rows, ncols: [{0: 1}, {1: 1}])
     with pytest.raises(WitnessNotUnique, match="not a line"):
         trivial_summand_witness(3)
 
@@ -311,4 +311,4 @@ def test_label_and_weight_order_is_pinned():
     # the order of weights, labels and matrix entries decides the
     # bit-identical tables; a change that moves the kept-label enumeration
     # and the lowering matrices together still changes this digest
-    assert _order_digest() == "4fc8b11f49988d0ef5d7b4ba80bf1466bf86a2ab24d2085be888a09b7eb53dd1"
+    assert _order_digest() == "db9c5ffd35f7606009375d7a479d1f554882ebe918bbd66d0d223871e2e05b10"
