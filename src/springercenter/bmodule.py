@@ -532,10 +532,9 @@ def check_serre(mod):
             acc = {}
             for coeff, word in rel:
                 for c, col in prods[word][1].cols.items():
-                    out = acc.setdefault(c, {})
                     for r, v in col.items():
-                        out[r] = out.get(r, 0) + coeff * v
-            if any(any(out.values()) for out in acc.values()):
+                        acc[r, c] = acc.get((r, c), 0) + coeff * v
+            if any(acc.values()):
                 i, j = rel[0][1][0], rel[0][1][-1]
                 raise SerreRelationFails(
                     "Serre relation (%d,%d) fails at weight %r" % (i, j, mu))
