@@ -18,15 +18,17 @@ The resolution of the trivial module is generated for every m: nodes are
 reduced words of Weyl group elements, and the arrow of a Bruhat cover
 w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
 weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  Each
-singular vector is written on the words kept by the Serre quotient of
-its weight.  Its coefficients, and the scalars that make the two paths
-through each length-2 interval cancel, are solved in PBW coordinates of
-U(n^-), where each product is straightened by the root-vector brackets
-(de Graaf 2000), with no ideal to eliminate.  Both bases represent
-U(n^-) faithfully and kernel_basis normalises each line through its
-RREF, so the solutions do not depend on the basis.  The data is
-validated structurally: reduced words, full Weyl group coverage, weight
-homogeneity of every arrow, and d.d == 0 on each module it is run over.
+singular vector is written on the standard words of its weight, a basis
+of U(n^-) there with one word per Kostant partition (Lalonde-Ram 1995;
+Bokut-Klein 1996 for type A).  Its coefficients, and the scalars that
+make the two paths through each length-2 interval cancel, are solved in
+PBW coordinates of U(n^-), where each product is straightened by the
+root-vector brackets (de Graaf 2000), with no ideal to eliminate.  Those
+coordinates represent U(n^-) faithfully and kernel_basis normalises
+each line through its RREF, so the solutions do not depend on the
+coordinates.  The data is validated structurally: reduced words, full
+Weyl group coverage, weight homogeneity of every arrow, and d.d == 0 on
+each module it is run over.
 
 A diamond entry is one degree i of one component's profile, and H^i
 needs only d_{i-1} and d_i.  So each entry builds its component on the
@@ -43,9 +45,8 @@ import logging
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactla import RowReducer, block_complex, kernel_basis
+from .exactla import block_complex, kernel_basis
 from . import rootdata, springer
-from .bmodule import serre_relations
 
 log = logging.getLogger(__name__)
 
@@ -63,13 +64,12 @@ def _accumulate(out, terms, c):
 class _Enveloping:
     """Weight spaces of U(n^-).  `line` solves its scalars in PBW
     coordinates: root vectors f_(a,b) = E_ba in rootdata.positive_roots(m)
-    order, monomials as non-decreasing index tuples.  Words in the f_i
-    read as products modulo the two-sided Serre ideal (`space`, keyed by
-    the tuple of letter counts) give only `singular` its kept words."""
+    order, monomials as non-decreasing index tuples.  `singular` writes
+    its vector on the standard words in the f_i (Lalonde-Ram 1995), a
+    basis of each weight space keyed by the tuple of letter counts."""
 
     def __init__(self, m):
-        self.m, self._spaces = m, {}
-        self.relations = serre_relations(m)
+        self.m = m
         roots = rootdata.positive_roots(m)
         index = {r: t for t, r in enumerate(roots)}
         self._simple = {i: index[i - 1, i] for i in range(1, m)}
@@ -82,28 +82,28 @@ class _Enveloping:
                     self._bracket[y, x] = (1, index[c, b])
                 elif c == b:
                     self._bracket[y, x] = (-1, index[a, d])
-        self._products, self._words = {}, {(): {(): 1}}
+        self._products, self._words, self._standard = {}, {(): {(): 1}}, {}
 
-    def space(self, counts):
-        """(words in lexicographic order, RowReducer of the ideal on their
-        columns: each relation times every word, and f_i times the
-        ideal).  The words off its pivots are a basis of the quotient."""
-        if counts not in self._spaces:
-            lower = [(i, self.space(counts[:i - 1] + (counts[i - 1] - 1,) + counts[i:]))
-                     for i in range(1, self.m) if counts[i - 1]]
-            words = [(i,) + w for i, (ws, _) in lower for w in ws] or [()]
-            index = {w: c for c, w in enumerate(words)}
-            vectors = [{index[(i,) + ws[c]]: v for c, v in row.items()}
-                       for i, (ws, red) in lower for row in red.echelon.values()]
-            for rel in self.relations:
-                rest = tuple(n - rel[0][1].count(i + 1) for i, n in enumerate(counts))
-                if min(rest) >= 0:
-                    vectors += [{index[s + w]: c for c, s in rel} for w in self.space(rest)[0]]
-            red = RowReducer()
-            for vec in vectors:
-                red.add(vec)
-            self._spaces[counts] = (words, red)
-        return self._spaces[counts]
+    def standard_words(self, counts):
+        """The standard words of weight `counts`, in lexicographic order:
+        for each Kostant partition, the words of its roots f_(a,b) ->
+        (a+1, ..., b) concatenated in non-increasing lexicographic order."""
+        if counts not in self._standard:
+            roots, out = rootdata.positive_roots(self.m), []
+
+            def walk(t, rest, chosen):
+                if not any(rest):
+                    out.append(sum(sorted(chosen, reverse=True), ()))
+                elif t < len(roots):
+                    a, b = roots[t]
+                    while min(rest) >= 0:
+                        walk(t + 1, rest, chosen)
+                        rest = rest[:a] + tuple(n - 1 for n in rest[a:b]) + rest[b:]
+                        chosen = chosen + [tuple(range(a + 1, b + 1))]
+
+            walk(0, counts, [])
+            self._standard[counts] = sorted(out)
+        return self._standard[counts]
 
     def _times(self, mono, x):
         """mono f_x in PBW coordinates, straightened by f_y f_x = f_x f_y + [f_y, f_x]."""
@@ -151,8 +151,7 @@ class _Enveloping:
         """The u of weight `counts` with u v_mu singular in M(mu), on the kept
         words.  As [e_j, f_i] = delta_ij h_j, e_j f_{i_1} ... f_{i_h} v_mu sums
         over i_p = j the word without f_{i_p} times <mu - sum_{q>p} alpha_{i_q}, alpha_j^vee>."""
-        words, red = self.space(counts)
-        kept = [w for c, w in enumerate(words) if c not in red.echelon]
+        kept = self.standard_words(counts)
         columns = [{} for _ in kept]
         for combos, word in zip(columns, kept):
             for j in set(word):
@@ -378,7 +377,7 @@ def hodge_diamond(m, jobs=1, method="bgg"):
     n = m * (m - 1) // 2
     entries = diamond_entries(m)
     direct = sorted([(i, j) for (i, j) in entries if j <= n], key=lambda e: (-e[1], e[0]))
-    if jobs and jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             got = dict(ex.map(_entry_task, [(m, i, j, method) for (i, j) in direct]))

@@ -498,6 +498,9 @@ def main(argv=None):
     if getattr(args, "m", None) is not None and args.m < 2:
         log.error("need m >= 2")
         return 1
+    if getattr(args, "jobs", 1) < 1:
+        log.error("need --jobs >= 1, got %d", args.jobs)
+        return 1
     if args.fn in (cmd_diamond, cmd_compare_dc, cmd_verify) and args.m > MAX_DIAMOND_M:
         log.error("%s --m %d refused: the whole diamond is built only for m <= %d, "
                   "as some sl6 entries have terms of over 18 million dims",

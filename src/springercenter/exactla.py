@@ -86,16 +86,6 @@ class SparseMatrix:
         mat.nrows, mat.ncols, mat.cols = nrows, ncols, cols
         return mat
 
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        """Build from a list of sparse rows (dicts col -> value).  Given
-        ncols is the width, and a row reaching past it raises IndexError;
-        without it the matrix is as wide as its widest nonzero entry needs."""
-        entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items() if v}
-        if ncols is None:
-            ncols = max((c + 1 for _, c in entries), default=0)
-        return cls(len(rows), ncols, entries)
-
     @property
     def entries(self):
         """A read-only (row, col) -> value view, built in O(nnz) on each

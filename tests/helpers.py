@@ -1,12 +1,24 @@
 """Views of package objects that only the tests need."""
 
-from springercenter.exactla import SparseMatrix
+from springercenter.bmodule import serre_relations
+from springercenter.exactla import RowReducer, SparseMatrix
 
 
 def transpose(mat):
     """The transpose of a SparseMatrix."""
     return SparseMatrix(mat.ncols, mat.nrows,
                         {(c, r): v for (r, c), v in mat.entries.items()})
+
+
+def from_rows(rows, ncols=None):
+    """A SparseMatrix built from a list of sparse rows (dicts col ->
+    value).  Given ncols is the width, and a row reaching past it raises
+    IndexError; without it the matrix is as wide as its widest nonzero
+    entry needs."""
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items() if v}
+    if ncols is None:
+        ncols = max((c + 1 for _, c in entries), default=0)
+    return SparseMatrix(len(rows), ncols, entries)
 
 
 def weights(mod):
@@ -17,3 +29,39 @@ def weights(mod):
 def character(mod):
     """A BModule's character: weight -> dim of its weight space."""
     return {mu: len(lbls) for mu, lbls in mod.spaces.items()}
+
+
+class SerreQuotient:
+    """Weight spaces of the free algebra on f_1, ..., f_{m-1} modulo the
+    two-sided Serre ideal, keyed by the tuple of letter counts: the
+    reference that bgg's standard words are checked against."""
+
+    def __init__(self, m):
+        self.m, self._spaces = m, {}
+        self.relations = serre_relations(m)
+
+    def space(self, counts):
+        """(words in lexicographic order, RowReducer of the ideal on their
+        columns: each relation times every word, and f_i times the
+        ideal).  The words off its pivots are a basis of the quotient."""
+        if counts not in self._spaces:
+            lower = [(i, self.space(counts[:i - 1] + (counts[i - 1] - 1,) + counts[i:]))
+                     for i in range(1, self.m) if counts[i - 1]]
+            words = [(i,) + w for i, (ws, _) in lower for w in ws] or [()]
+            index = {w: c for c, w in enumerate(words)}
+            vectors = [{index[(i,) + ws[c]]: v for c, v in row.items()}
+                       for i, (ws, red) in lower for row in red.echelon.values()]
+            for rel in self.relations:
+                rest = tuple(n - rel[0][1].count(i + 1) for i, n in enumerate(counts))
+                if min(rest) >= 0:
+                    vectors += [{index[s + w]: c for c, s in rel} for w in self.space(rest)[0]]
+            red = RowReducer()
+            for vec in vectors:
+                red.add(vec)
+            self._spaces[counts] = (words, red)
+        return self._spaces[counts]
+
+    def kept(self, counts):
+        """The words off the pivots of space(counts), in order."""
+        words, red = self.space(counts)
+        return [w for c, w in enumerate(words) if c not in red.echelon]

@@ -18,7 +18,7 @@ from springercenter.bmodule import (
 )
 from springercenter.exactla import RowReducer
 from springercenter.ce_oracle import ce_cohomology
-from helpers import character
+from helpers import SerreQuotient, character
 
 # direct sl5 diamond entries whose components build in well under a second
 SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
@@ -58,23 +58,49 @@ def _kostant(counts, roots):
     return total
 
 
+def _roots(m):
+    """The positive roots as counts on the simple roots."""
+    return [tuple(1 if a < i <= b else 0 for i in range(1, m))
+            for a in range(m) for b in range(a + 1, m)]
+
+
+# the most of each f_i at the weights the Serre quotient tests check, by m
+SERRE_TOPS = {3: 3, 4: 2}
+
+
+def _small_weights(m):
+    """The nonzero weights with at most SERRE_TOPS[m] of each f_i."""
+    return [counts for counts in itertools.product(range(SERRE_TOPS.get(m, 0) + 1), repeat=m - 1)
+            if any(counts)]
+
+
 def _serre_quotients():
     """(env, counts, words, reducer of the Serre ideal, Kostant number)
-    at every nonzero weight with at most 3 of each f_i for sl3, 2 for sl4."""
-    for m, top in [(3, 3), (4, 2)]:
-        env = bgg._Enveloping(m)
-        roots = [tuple(1 if a < i <= b else 0 for i in range(1, m))
-                 for a in range(m) for b in range(a + 1, m)]
-        for counts in itertools.product(range(top + 1), repeat=m - 1):
-            if any(counts):
-                words, reducer = env.space(counts)
-                yield env, counts, words, reducer, _kostant(counts, roots)
+    at every _small_weights weight for sl3 and sl4."""
+    for m in SERRE_TOPS:
+        env, reference = bgg._Enveloping(m), SerreQuotient(m)
+        for counts in _small_weights(m):
+            words, reducer = reference.space(counts)
+            yield env, counts, words, reducer, _kostant(counts, _roots(m))
 
 
 def test_serre_quotient_has_the_pbw_dimension():
     # PBW: dim U(n^-) at a weight is the Kostant partition number
     for _, counts, words, reducer, kostant in _serre_quotients():
         assert len(words) - reducer.rank == kostant, counts
+
+
+def test_standard_words_are_the_serre_quotients_kept_words():
+    # on the weights above, and on the drop of every arrow of the
+    # resolution at m = 3, 4, 5 (the letter counts of its words)
+    for m in (3, 4, 5):
+        env, reference = bgg._Enveloping(m), SerreQuotient(m)
+        drops = {tuple(word.count(i) for i in range(1, m))
+                 for terms in bgg_data(m).arrows.values() for _, word in terms}
+        for counts in sorted(drops.union(_small_weights(m))):
+            words = env.standard_words(counts)
+            assert words == reference.kept(counts), (m, counts)
+            assert len(words) == _kostant(counts, _roots(m)), (m, counts)
 
 
 def _straighten(env, terms):

@@ -360,6 +360,17 @@ def test_parallel_ce_diamond_matches_serial(tmp_path, monkeypatch, capsys):
     assert run(argv + ["--jobs", "2"], capsys) == (0, serial, "")
 
 
+@pytest.mark.parametrize("argv", [["diamond", "--m", "2", "--jobs", "-5"],
+                                  ["compare-dc", "--m", "2", "--jobs", "0"]])
+def test_jobs_below_one_is_refused(argv, monkeypatch, capsys, caplog):
+    # refused before any diamond is computed, so no pool is started
+    called = []
+    monkeypatch.setattr(bgg, "hodge_diamond", lambda *a, **k: called.append(a))
+    assert run(argv, capsys)[:2] == (1, "")
+    assert called == []
+    assert "need --jobs >= 1" in caplog.text
+
+
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(["diamond"], capsys)  # missing --m
     assert code == 1

@@ -9,7 +9,7 @@ from springercenter.exactla import (
     CochainComplex, NotAComplex, block_complex,
 )
 
-from helpers import transpose
+from helpers import from_rows, transpose
 
 
 def dense(mat):
@@ -181,7 +181,7 @@ def test_stored_entries_are_canonical(a, b):
         (r, c): v for (r, c), v in b.entries.items() if r < a.ncols})
     _assert_column_invariants(a.matmul(b))
     _assert_column_invariants(transpose(a))
-    _assert_column_invariants(SparseMatrix.from_rows(a.rows(), a.ncols))
+    _assert_column_invariants(from_rows(a.rows(), a.ncols))
 
 
 def _assert_column_invariants(mat):
@@ -211,7 +211,7 @@ def product_pairs(draw):
 def test_columns_keep_their_invariants(mat):
     _assert_column_invariants(mat)
     assert SparseMatrix(mat.nrows, mat.ncols, mat.entries) == mat
-    back = SparseMatrix.from_rows(mat.rows(), mat.ncols)
+    back = from_rows(mat.rows(), mat.ncols)
     _assert_column_invariants(back)
     assert back == mat
     with pytest.raises(TypeError):
@@ -263,11 +263,11 @@ def test_entries_outside_the_shape_are_refused(value):
 
 
 def test_from_rows_takes_the_given_width():
-    assert SparseMatrix.from_rows([{0: 1}], 4).ncols == 4
-    assert SparseMatrix.from_rows([{0: 1}, {3: 2, 9: 0}]).ncols == 4
-    assert SparseMatrix.from_rows([], 0) == SparseMatrix(0, 0)
+    assert from_rows([{0: 1}], 4).ncols == 4
+    assert from_rows([{0: 1}, {3: 2, 9: 0}]).ncols == 4
+    assert from_rows([], 0) == SparseMatrix(0, 0)
     with pytest.raises(IndexError):
-        SparseMatrix.from_rows([{0: 1}, {3: 2}], 3)
+        from_rows([{0: 1}, {3: 2}], 3)
 
 
 def test_row_reducer_reduces_spanned_vectors_to_zero():
