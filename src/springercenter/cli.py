@@ -492,9 +492,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return 1 if ex.code not in (0, None) else 0
+    # force: each call sets its own level and stream, not the first call's
     logging.basicConfig(stream=sys.stderr,
                         level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
+                        format="%(levelname)s %(message)s", force=True)
     if getattr(args, "m", None) is not None and args.m < 2:
         log.error("need m >= 2")
         return 1

@@ -1,5 +1,6 @@
 """Views of package objects that only the tests need."""
 
+from springercenter import ce_oracle, exactla
 from springercenter.bmodule import serre_relations
 from springercenter.exactla import RowReducer, SparseMatrix
 
@@ -65,3 +66,37 @@ class SerreQuotient:
         """The words off the pivots of space(counts), in order."""
         words, red = self.space(counts)
         return [w for c, w in enumerate(words) if c not in red.echelon]
+
+
+def ce_complex(mod):
+    """The weight-zero Lie algebra cohomology complex that
+    ce_oracle.ce_cohomology ranks for the complete module mod."""
+    made = []
+
+    def keep(layers, blocks):
+        made.append(exactla.block_complex(layers, blocks))
+        return made[-1]
+
+    real, ce_oracle.block_complex = ce_oracle.block_complex, keep
+    try:
+        ce_oracle.ce_cohomology(mod)
+    finally:
+        ce_oracle.block_complex = real
+    return made[0]
+
+
+def assert_cleared_sweeps_agree(cx):
+    """Walk the cleared ranks of cx as cohomology_dims does, and check at
+    every map that the leading-only images it stores span the space of a
+    full sweep of the same images: the same pivots and the same reduced
+    rows."""
+    cleared = ()
+    for mp in cx.maps:
+        lead = exactla._image_reducer(mp, cleared)
+        full = RowReducer()
+        for c in sorted(mp.cols, reverse=True):
+            if c not in cleared:
+                full.add(mp.cols[c])
+        assert sorted(lead.echelon) == sorted(full.echelon)
+        assert lead.reduced_rows() == full.reduced_rows()
+        cleared = lead.echelon

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -16,15 +17,16 @@ from springercenter.bgg import (
 from springercenter.bmodule import (
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge, sym, serre_relations,
 )
-from springercenter.exactla import RowReducer
+from springercenter.exactla import CochainComplex, RowReducer
 from springercenter.ce_oracle import ce_cohomology
 from helpers import SerreQuotient, character
 
 # direct sl5 diamond entries whose components build in well under a second
 SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
 
-# direct sl5 entries whose three terms take about 0.6 s together
-SL5_CHEAP_ENTRIES = [(0, 4), (3, 5), (4, 6), (5, 5), (5, 7), (6, 6), (6, 8),
+# direct sl5 entries whose three terms take about 0.9 s together, half
+# of it (4,8)
+SL5_CHEAP_ENTRIES = [(0, 4), (3, 5), (4, 6), (4, 8), (5, 5), (5, 7), (6, 6), (6, 8),
                      (6, 10), (7, 7), (7, 9), (8, 8), (8, 10), (9, 9), (10, 10)]
 
 
@@ -226,6 +228,27 @@ def test_truncated_degree_matches_the_whole_profile():
             comp = springer.build_vk_component(m, k, r, window=cochain_window(m))
             profile = multiplicity(comp.module)
             assert [bgg.profile_degree(m, k, r, i) for i in range(n + 1)] == profile, (m, k, r)
+
+
+def test_profile_degree_drops_the_module_before_ranking(monkeypatch):
+    k, r = bgg.entry_component(4, 2, 4)
+    want = bgg.profile_degree(4, k, r, 2)
+    modules, alive = [], []
+    build, ranks = springer.build_vk_component, CochainComplex.cohomology_dims
+
+    def build_spy(*args, **kwargs):
+        comp = build(*args, **kwargs)
+        modules.append(weakref.ref(comp.module))
+        return comp
+
+    def ranks_spy(cx):
+        alive.append(modules[-1]() is not None)
+        return ranks(cx)
+
+    monkeypatch.setattr(springer, "build_vk_component", build_spy)
+    monkeypatch.setattr(CochainComplex, "cohomology_dims", ranks_spy)
+    assert bgg.profile_degree(4, k, r, 2) == want
+    assert alive == [False]
 
 
 def test_trivial_multiplicity_profiles():

@@ -10,6 +10,8 @@ from springercenter.bmodule import (
 )
 from springercenter.ce_oracle import ce_cohomology
 
+from helpers import assert_cleared_sweeps_agree, ce_complex
+
 
 def test_structure_sheaf_cohomology():
     for m in (2, 3):
@@ -83,6 +85,35 @@ def test_each_root_matrix_is_formed_once_per_call(monkeypatch):
     monkeypatch.setattr(bmodule, "product_sum", sum_spy)
     assert ce_cohomology(mod) == [1, 5, 7, 0, 0, 0, 0]
     assert keys and sums == [2] * len(keys)
+
+
+def test_cleared_images_of_every_sl4_ce_complex_span_as_in_a_full_sweep():
+    components = sorted({bgg.entry_component(4, i, j) for (i, j) in bgg.diamond_entries(4)})
+    assert len(components) == 16
+    for k, r in components:
+        assert_cleared_sweeps_agree(ce_complex(springer.build_vk_component(4, k, r).module))
+
+
+@pytest.mark.parametrize("force_full, steps", [(False, 2632), (True, 5250)])
+def test_cleared_ranks_clear_only_leading_columns(monkeypatch, force_full, steps):
+    # an elimination step reads one pivot row, echelon[p]; on V_6^{-6}
+    # the cleared ranks take half the steps of a full sweep (full=True)
+    cx = ce_complex(springer.build_vk_component(4, 6, 3).module)
+    count = [0]
+
+    class Counted(dict):
+        def __getitem__(self, p):
+            count[0] += 1
+            return dict.__getitem__(self, p)
+
+    class Reducer(exactla.RowReducer):
+        def __init__(self, full=True):
+            super().__init__(full or force_full)
+            self.echelon = Counted()
+
+    monkeypatch.setattr(exactla, "RowReducer", Reducer)
+    assert cx.cohomology_dims() == [1, 5, 12, 1, 0, 0, 0]
+    assert count[0] == steps
 
 
 def test_windowed_module_is_refused():

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -360,15 +361,46 @@ def test_parallel_ce_diamond_matches_serial(tmp_path, monkeypatch, capsys):
     assert run(argv + ["--jobs", "2"], capsys) == (0, serial, "")
 
 
+@pytest.fixture
+def root_logging():
+    """The root logger's handlers and level, put back after the test:
+    main() replaces them on every call."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    yield
+    for handler in root.handlers[:]:
+        root.removeHandler(handler)
+    for handler in handlers:
+        root.addHandler(handler)
+    root.setLevel(level)
+
+
 @pytest.mark.parametrize("argv", [["diamond", "--m", "2", "--jobs", "-5"],
                                   ["compare-dc", "--m", "2", "--jobs", "0"]])
-def test_jobs_below_one_is_refused(argv, monkeypatch, capsys, caplog):
+def test_jobs_below_one_is_refused(argv, monkeypatch, capsys, root_logging):
     # refused before any diamond is computed, so no pool is started
     called = []
     monkeypatch.setattr(bgg, "hodge_diamond", lambda *a, **k: called.append(a))
-    assert run(argv, capsys)[:2] == (1, "")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
     assert called == []
-    assert "need --jobs >= 1" in caplog.text
+    assert "ERROR need --jobs >= 1" in err
+
+
+def test_each_main_call_sets_its_own_logging(tmp_path, monkeypatch, capsys, root_logging):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["diamond", "--m", "2", "--no-cache"]
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert not logging.getLogger().isEnabledFor(logging.INFO)
+    # a later -v call is chatty, on the stderr of its own call
+    code, _, err = run(["-v"] + argv, capsys)
+    assert code == 0
+    assert logging.getLogger().isEnabledFor(logging.INFO)
+    assert "INFO computing diamond for m=2" in err
+    code, _, err = run(["diamond", "--m", "1"], capsys)
+    assert code == 1
+    assert err == "ERROR need m >= 2\n"
 
 
 def test_bad_usage_exits_1(capsys):

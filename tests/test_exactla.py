@@ -9,7 +9,7 @@ from springercenter.exactla import (
     CochainComplex, NotAComplex, block_complex,
 )
 
-from helpers import from_rows, transpose
+from helpers import assert_cleared_sweeps_agree, from_rows, transpose
 
 
 def dense(mat):
@@ -65,13 +65,14 @@ def matrices_and_vectors(draw):
 @st.composite
 def reduced_rows_and_vector(draw):
     """A reducer fed random sparse rows, the dense rows, and one more
-    vector; entries are all Fractions, all ints, or mixed."""
+    vector; entries are all Fractions, all ints, or mixed, and the rows
+    are stored after a full or a leading-only sweep."""
     values = draw(st.sampled_from([small_fraction, small_int, small_rational]))
     ncols = draw(st.integers(1, 7))
     sparse = sparse_vectors(ncols, values)
     rows = draw(st.lists(sparse, max_size=7))
     vec = draw(sparse)
-    red = RowReducer()
+    red = RowReducer(full=draw(st.booleans()))
     for row in rows:
         red.add(row)
     dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in rows]
@@ -353,6 +354,35 @@ def test_cleared_cohomology_matches_sympy_ranks(cx):
     ranks = [0] + [sympy_rank(mp) for mp in cx.maps] + [0]
     assert cx.cohomology_dims() == [d - ranks[t + 1] - ranks[t]
                                     for t, d in enumerate(cx.dims)]
+
+
+@given(cochain_complexes())
+@settings(max_examples=80, deadline=None)
+def test_leading_only_cleared_images_span_what_a_full_sweep_spans(cx):
+    assert_cleared_sweeps_agree(cx)
+
+
+def test_leading_only_sweep_leaves_later_pivots_in_the_row():
+    red = RowReducer(full=False)
+    red.add({1: 1, 2: 1})
+    red.add({0: 1, 1: 1})
+    # the leading column 0 is no pivot, so pivot 1 stays in the row
+    assert red.echelon == {1: {1: 1, 2: 1}, 0: {0: 1, 1: 1}}
+    # adding at pivot 1 leaves column 2 leading, and pivot 0 is not reached
+    assert red.add({1: 2, 3: 1})
+    assert red.echelon[2] == {2: 2, 3: -1}
+    full = RowReducer()
+    for row in [{1: 1, 2: 1}, {0: 1, 1: 1}, {1: 2, 3: 1}]:
+        full.add(row)
+    assert full.echelon[0] == {0: 1, 2: -1}
+    assert red.reduce({0: 1}) == full.reduce({0: 1}) == {3: Fraction(1, 2)}
+    assert red.reduced_rows() == full.reduced_rows()
+    # clearing pivot 0 cancels column 1, the smallest non-pivot column,
+    # so the sweep goes on to pivot 2 and finds the vector in the span
+    red = RowReducer(full=False)
+    assert red.add({2: 1}) and red.add({0: 1, 1: 1})
+    assert not red.add({0: 1, 1: 1, 2: 1})
+    assert red.rank == 2
 
 
 def test_cohomology_of_a_non_complex_is_refused():
