@@ -45,6 +45,7 @@ def positive_roots(m):
     return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
+@lru_cache(maxsize=None)
 def root_weight(m, a, b):
     """eps_a - eps_b in fundamental coordinates."""
     v = [0] * m

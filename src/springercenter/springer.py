@@ -38,6 +38,12 @@ the graded bases of the three factors (_graded), so the kept labels at a
 weight are the ambient ones with no b factor, in the same order.  The
 kept g-sets leave out a weight whose g-sets all meet b, and a weight
 without kept labels has no entry in V_k^{-2r}, not even an empty one.
+The walker sums weights as packed ints: weight (c_1, ..., c_{m-1}) is
+sum_i c_i 2**(16 i), a linear map that is injective while every
+coordinate has |c| < 2**15, and a weight outside that range raises
+ValueError.  So a block costs one int add and one dict lookup, into the
+codes of the window when one is given, and a windowed walk yields the
+complete walk's blocks that lie in the window, in the same order.
 
 Everything is constructed one weight space at a time, since the
 denominator is weight-homogeneous.  A construction can be windowed to a
@@ -47,7 +53,7 @@ BModule suitable for Lie algebra cohomology.
 """
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 from .exactla import SparseMatrix, kernel_basis
 from . import rootdata
@@ -98,29 +104,75 @@ def _graded(m, name, degree):
                 for mu, gl in _graded(m, "g", degree).items())
         return {mu: gl for mu, gl in kept if gl}
     gen = itertools.combinations_with_replacement if name == "u" else itertools.combinations
-    out = {}
+    labels = bmodule.lie_labels(m, name)
+    weight = {lbl: gl_label_weight(m, lbl) for lbl in labels}
+    code = {lbl: _pack(mu) for lbl, mu in weight.items()}
+    by_code = {}
+    for combo in gen(labels, degree):
+        by_code.setdefault(sum(map(code.__getitem__, combo)), []).append(combo)
     zero = tuple([0] * (m - 1))
-    for combo in gen(bmodule.lie_labels(m, name), degree):
-        mu = zero
-        for lbl in combo:
-            mu = rootdata.add(mu, gl_label_weight(m, lbl))
-        out.setdefault(mu, []).append(combo)
-    return out
+    return {reduce(rootdata.add, map(weight.__getitem__, combos[0]), zero): combos
+            for combos in by_code.values()}
 
 
-def _blocks(m, k, r, basis):
+# A weight (c_1, ..., c_{m-1}) packs into the int sum_i c_i 2**(16 i).
+# The map is linear, so the code of a sum is the sum of the codes, and
+# it is injective on weights whose coordinates all satisfy |c| < 2**15.
+_PACK_BITS = 16
+_PACK_LIMIT = 1 << (_PACK_BITS - 1)
+
+
+def _pack(mu):
+    """The packed code of weight mu; ValueError when a coordinate is
+    outside the packed range."""
+    code = 0
+    for c in reversed(mu):
+        if not -_PACK_LIMIT < c < _PACK_LIMIT:
+            raise ValueError("weight %r is outside the packed range |c| < %d"
+                             % (mu, _PACK_LIMIT))
+        code = (code << _PACK_BITS) + c
+    return code
+
+
+def _packed(table):
+    """(code, weight, value) for each item of a weight-keyed table, in
+    its order, and the largest |coordinate| of its weights."""
+    items = [(_pack(mu), mu, v) for mu, v in table.items()]
+    return items, max((abs(c) for mu in table for c in mu), default=0)
+
+
+def _blocks(m, k, r, basis, window=None):
     """(weight, monomials, g-sets, n-sets) for each block of labels
     (mono, gset, nset) of V_k^{-2r} with one weight per factor: by
     (a, b, p) with a + b = k, p = b - r, then by the weights of the
     g-sets, the n-sets and the monomials.  This is the order of every
     label list of V_k^{-2r}.  basis(name, degree) gives the factors by
-    weight, as _graded does for "u", "kept" and "n"."""
+    weight, as _graded does for "u", "kept" and "n".
+
+    A window (a set of weights) keeps the blocks whose weight lies in
+    it, in the same order; None keeps every block.  Block weights are
+    summed as packed codes (_pack): one int add per block and one dict
+    lookup into the codes of the window, or of the weights seen so far,
+    and a weight is built as a tuple only once.  A window weight, or a
+    sum of three factor weights, with a coordinate outside the packed
+    range raises ValueError."""
+    weights = {} if window is None else {_pack(mu): mu for mu in window}
     for b in range(max(r, 0), min(k, m * (m - 1) // 2) + 1):
-        for mug, gs in basis("kept", k - b).items():
-            for mun, ns in basis("n", b).items():
-                mugn = rootdata.add(mug, mun)
-                for muu, us in basis("u", b - r).items():
-                    yield rootdata.add(mugn, muu), us, gs, ns
+        (gs, bg), (ns, bn), (us, bu) = (_packed(basis(name, degree)) for name, degree
+                                        in (("kept", k - b), ("n", b), ("u", b - r)))
+        if bg + bn + bu >= _PACK_LIMIT:
+            raise ValueError("weights of V_%d^{-%d} leave the packed range |c| < %d"
+                             % (k, 2 * r, _PACK_LIMIT))
+        for cg, mug, g in gs:
+            for cn, mun, n in ns:
+                cgn = cg + cn
+                for cu, muu, u in us:
+                    mu = weights.get(cgn + cu)
+                    if mu is None:
+                        if window is not None:
+                            continue
+                        mu = weights[cgn + cu] = rootdata.add(rootdata.add(mug, mun), muu)
+                    yield mu, u, g, n
 
 
 # Bounded: only delta_subspace reads this (VkComponent enumerates the
@@ -245,16 +297,29 @@ def _substitute(m, label):
     return {lbl: v for lbl, v in out.items() if v}
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on its first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
 class _FactorTables:
     """The factors of the kept labels of sl_m, interned as small ints,
     with their images under each f_i memoised per factor id.
 
     Factor kind 0 is the monomial in S(u), 1 the g-set (kept, so inside
-    u) and 2 the n-set.  image() gives f_i on one factor; a g-set term
-    that lands in b (e_i -> -h_i) carries its x, and raises() gives what
-    substituting -y_x does to the monomial and to the n-set.  One table
-    per m: the interned labels are shared by all (k, r), but ad(x)
-    depends on m.
+    u) and 2 the n-set.  images[i][kind][id] is f_i on one factor; a
+    g-set term that lands in b (e_i -> -h_i) carries its x, and
+    raises[kind, x][id] gives what substituting -y_x does to the
+    monomial and to the n-set.  Both are _Memo dicts, so a read computes
+    only on a miss.  One table per m: the interned labels are shared by
+    all (k, r), but ad(x) depends on m.
     """
 
     def __init__(self, m):
@@ -262,8 +327,9 @@ class _FactorTables:
         self.ids = ({}, {}, {})        # factor -> id, per kind
         self.factors = ([], [], [])    # id -> factor, per kind
         self._bases = {}               # (name, degree) -> weight -> (factors, ids)
-        self._images = {i: ({}, {}, {}) for i in range(1, m)}
-        self._raises = {}              # (kind, x) -> id -> per-term results
+        self.images = {i: tuple(_Memo(partial(self._image, i, kind)) for kind in range(3))
+                       for i in range(1, m)}
+        self.raises = _Memo(lambda kind_x: _Memo(partial(self._raises, *kind_x)))
 
     def _intern(self, kind, factor):
         ids = self.ids[kind]
@@ -288,18 +354,11 @@ class _FactorTables:
         None, so the triple is in no index."""
         return tuple(self.ids[kind].get(f) for kind, f in enumerate(label))
 
-    def image(self, i, kind, j):
-        """f_i on one factor: (id, coeff) pairs, except that a g-set term
+    def _image(self, i, kind, fid):
+        """f_i on factor fid: (id, coeff) pairs, except that a g-set term
         whose new factor lies in b is (rest id, coeff, x) with the sign
         of substituting -y_x for x already in coeff."""
-        memo = self._images[i][kind]
-        got = memo.get(j)
-        if got is None:
-            got = memo[j] = self._image(i, kind, self.factors[kind][j])
-        return got
-
-    def _image(self, i, kind, f):
-        m = self.m
+        m, f = self.m, self.factors[kind][fid]
         if kind == 0:
             out = {}
             for t, ul in enumerate(f):
@@ -324,23 +383,20 @@ class _FactorTables:
                     out.append((self._intern(1, rest), c, x2))
         return out
 
-    def raises(self, kind, x, j):
-        """The monomial (kind 0) or n-set (kind 2) factor j after each
+    def _raises(self, kind, x, fid):
+        """The monomial (kind 0) or n-set (kind 2) factor fid after each
         term (e, n, c) of ad(x): for the monomial the id of mono * e, for
         the n-set (id of nset ^ n, -c (-1)^pos_n) or None when n is
         already a factor."""
-        memo = self._raises.setdefault((kind, x), {})
-        got = memo.get(j)
-        if got is None:
-            f = self.factors[kind][j]
-            got = memo[j] = []
-            for e_lbl, n_lbl, c in _ad_n(self.m)[x]:
-                if kind == 0:
-                    got.append(self._intern(0, tuple(sorted(f + (e_lbl,)))))
-                    continue
-                new, pos_n = _insert_sorted(f, n_lbl)
-                got.append(None if new is None else
-                           (self._intern(2, new), -c if pos_n % 2 == 0 else c))
+        f = self.factors[kind][fid]
+        got = []
+        for e_lbl, n_lbl, c in _ad_n(self.m)[x]:
+            if kind == 0:
+                got.append(self._intern(0, tuple(sorted(f + (e_lbl,)))))
+                continue
+            new, pos_n = _insert_sorted(f, n_lbl)
+            got.append(None if new is None else
+                       (self._intern(2, new), -c if pos_n % 2 == 0 else c))
         return got
 
     def kept_bases(self, k, r, window):
@@ -348,11 +404,11 @@ class _FactorTables:
         order of _blocks, over the weights of window (all weights when
         None).  A weight without kept labels has no key."""
         out = {}
-        for mu, (us, uids), (gs, gids), (ns, nids) in _blocks(self.m, k, r, self.basis):
-            if window is None or mu in window:
-                lbls, keys = out.setdefault(mu, ([], []))
-                lbls += itertools.product(us, gs, ns)
-                keys += itertools.product(uids, gids, nids)
+        for mu, (us, uids), (gs, gids), (ns, nids) in _blocks(self.m, k, r, self.basis,
+                                                               window):
+            lbls, keys = out.setdefault(mu, ([], []))
+            lbls += itertools.product(us, gs, ns)
+            keys += itertools.product(uids, gids, nids)
         return out
 
     def lowering(self, i, keys, target_index):
@@ -361,24 +417,25 @@ class _FactorTables:
         that acting on each ambient label and projecting gives; no zero
         and no empty column."""
         cols = {}
-        image = self.image
+        monos_f, gsets_f, nsets_f = self.images[i]
+        raises = self.raises
         for col, (mid, gid, nid) in enumerate(keys):
             out = {}
-            for mid2, c in image(i, 0, mid):
+            for mid2, c in monos_f[mid]:
                 q = target_index[(mid2, gid, nid)]
                 out[q] = out.get(q, 0) + c
-            for term in image(i, 1, gid):
+            for term in gsets_f[gid]:
                 if len(term) == 2:
                     q = target_index[(mid, term[0], nid)]
                     out[q] = out.get(q, 0) + term[1]
                     continue
                 rid, c, x = term
-                monos = self.raises(0, x, mid)
-                for t, got in enumerate(self.raises(2, x, nid)):
+                monos = raises[0, x][mid]
+                for t, got in enumerate(raises[2, x][nid]):
                     if got is not None:
                         q = target_index[(monos[t], rid, got[0])]
                         out[q] = out.get(q, 0) + c * got[1]
-            for nid2, c in image(i, 2, nid):
+            for nid2, c in nsets_f[nid]:
                 q = target_index[(mid, gid, nid2)]
                 out[q] = out.get(q, 0) + c
             if 0 in out.values():

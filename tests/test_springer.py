@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springercenter import rootdata, bgg, bmodule, springer
 from springercenter.bmodule import sub_n, check_serre, MissingWeightSpace
@@ -67,13 +70,126 @@ def test_components_respect_serre_relations():
         check_serre(build_vk_component(m, k, r).module)
 
 
+def _per_degree_ranges(m):
+    n = m * (m - 1) // 2
+    return sorted({(max(i - 1, 0), min(i + 1, n)) for i in range(n + 1)})
+
+
+def _diamond_components(m):
+    return sorted({bgg.entry_component(m, i, j) for (i, j) in bgg.diamond_entries(m)})
+
+
 def test_windowed_component_matches_complete_on_window():
-    m, k, r = 3, 2, 1
-    full = build_vk_component(m, k, r)
-    window = bgg.cochain_window(m)
-    part = build_vk_component(m, k, r, window=window)
-    for mu in window:
-        assert part.module.weight_dim(mu) == full.module.weight_dim(mu)
+    # labels in order and every lowering matrix entry for entry, in
+    # insertion order, on each per-degree window of every diamond
+    # component at sl3 and sl4
+    for m in (3, 4):
+        for k, r in _diamond_components(m):
+            full = build_vk_component(m, k, r).module
+            for lo, hi in _per_degree_ranges(m):
+                window = bgg.cochain_window(m, lo, hi)
+                part = build_vk_component(m, k, r, window=window).module
+                assert set(part.spaces) <= window
+                for mu in window:
+                    assert part.spaces.get(mu) == full.spaces.get(mu), (m, k, r, lo, hi, mu)
+                keys = {(i, mu) for (i, mu) in full.lower if mu in window
+                        and rootdata.sub(mu, rootdata.simple_root(m, i)) in window}
+                assert set(part.lower) == keys, (m, k, r, lo, hi)
+                for key in keys:
+                    got, want = part.lower[key], full.lower[key]
+                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                    assert list(got.entries.items()) == list(want.entries.items()), key
+
+
+def _walk(m, k, r, window=None):
+    return list(springer._blocks(m, k, r, partial(springer._graded, m), window))
+
+
+# every diamond component at sl3 and sl4; at sl5 a few whose complete
+# walks are short (at most 2,342 blocks), since every windowed walk
+# still visits each block of the complete one
+_WALKED = [(m, k, r) for m in (3, 4) for k, r in _diamond_components(m)]
+_WALKED += [(5, 3, 2), (5, 6, 5), (5, 10, 8)]
+
+
+def test_windowed_walk_is_the_complete_walk_on_the_window():
+    # same blocks, the same list objects, in the same order, on every
+    # window cochain_window(m, lo, hi) with lo <= hi
+    for m, k, r in _WALKED:
+        n = m * (m - 1) // 2
+        full = _walk(m, k, r)
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                window = bgg.cochain_window(m, lo, hi)
+                assert _walk(m, k, r, window) == [blk for blk in full if blk[0] in window], \
+                    (m, k, r, lo, hi)
+
+
+@st.composite
+def _walk_windows(draw):
+    m, k, r = draw(st.sampled_from([c for c in _WALKED if c[0] < 5]))
+    weights = sorted({blk[0] for blk in _walk(m, k, r)})
+    some = draw(st.lists(st.sampled_from(weights), max_size=len(weights)))
+    other = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * (m - 1)), max_size=4))
+    return m, k, r, set(some) | set(other)
+
+
+@given(_walk_windows())
+@settings(max_examples=40, deadline=None)
+def test_walk_on_any_window_filters_the_complete_walk(case):
+    m, k, r, window = case
+    assert _walk(m, k, r, window) == [blk for blk in _walk(m, k, r) if blk[0] in window]
+
+
+def test_packed_codes_are_linear_and_checked():
+    limit = 2 ** 15
+    pack = springer._pack
+    assert pack(()) == 0
+    assert pack((3, -1, 2)) == 3 - 2 ** 16 + 2 * 2 ** 32
+    edge = [(limit - 1, 1 - limit), (1 - limit, limit - 1), (0, limit - 1), (limit - 1, 0)]
+    assert len({pack(mu) for mu in edge}) == len(edge)
+    assert pack((limit - 1, -5)) + pack((-3, 7)) == pack((limit - 4, 2))
+    for bad in [(limit, 0), (0, -limit), (1, 2, limit + 7)]:
+        with pytest.raises(ValueError, match="packed range"):
+            pack(bad)
+    # a window weight outside the range, and factors that are each in
+    # range but whose sum is not, both raise
+    with pytest.raises(ValueError, match="packed range"):
+        _walk(3, 2, 1, {(0, 0), (limit, 0)})
+    big = {(limit // 3 + 1,): [()]}
+    with pytest.raises(ValueError, match="packed range"):
+        list(springer._blocks(2, 1, 0, lambda name, degree: big))
+
+
+def _graded_by_tuples(m, name, degree):
+    # the graded basis summing tuple weights label by label, as a
+    # reference for _graded's packed sums
+    gen = itertools.combinations_with_replacement if name == "u" else itertools.combinations
+    out = {}
+    for combo in gen(bmodule.lie_labels(m, name), degree):
+        mu = tuple([0] * (m - 1))
+        for lbl in combo:
+            mu = rootdata.add(mu, bmodule.gl_label_weight(m, lbl))
+        out.setdefault(mu, []).append(combo)
+    return out
+
+
+def test_graded_weight_codes_are_distinct_and_additive():
+    # every wedge(n) degree for m <= 6, every wedge(g) degree for m <= 4
+    # and the low degrees beyond; S(u) in degrees up to 4
+    for m in (2, 3, 4, 5, 6):
+        n = m * (m - 1) // 2
+        gmax = m * m - 1 if m <= 4 else 3
+        for name, degrees in (("n", range(n + 1)), ("g", range(gmax + 1)), ("u", range(5))):
+            for degree in degrees:
+                table = springer._graded(m, name, degree)
+                assert list(table.items()) == list(_graded_by_tuples(m, name, degree).items())
+                codes = [springer._pack(mu) for mu in table]
+                assert len(set(codes)) == len(codes)
+                weight = {lbl: springer._pack(bmodule.gl_label_weight(m, lbl))
+                          for lbl in bmodule.lie_labels(m, name)}
+                for code, combos in zip(codes, table.values()):
+                    assert all(sum(weight[lbl] for lbl in c) == code for c in combos)
 
 
 def test_windowed_component_raises_outside_its_window():
