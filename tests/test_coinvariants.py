@@ -1,15 +1,18 @@
+import contextlib
 import itertools
 import math
+import random
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from springercenter import coinvariants
+from springercenter.exactla import RowReducer
 from springercenter.rootdata import poincare_polynomial
 from springercenter.coinvariants import (
     dc_entry, dc_table, expected_diamond_from_dc,
-    pf_table, _compositions, _dc_table, _monomials, _slice_echelon, _substituted,
+    pf_table, _compositions, _dc_table, _monomials, _pack, _slice_echelon, _substituted,
 )
 from springercenter.bgg import hodge_diamond
 
@@ -97,6 +100,79 @@ def _eliminated_slices(m):
         patch.setattr(coinvariants, "dc_entry", spy)
         table = _dc_table.__wrapped__(m)
     return table, seen
+
+
+@contextlib.contextmanager
+def _row_additions():
+    """A list that gains one entry per RowReducer.add call in the block."""
+    added = []
+    real = RowReducer.add
+
+    def add(self, row):
+        added.append(row)
+        return real(self, row)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RowReducer, "add", add)
+        yield added
+
+
+def _pivots(m, i, j):
+    """(dim, leading monomials) of slice (i, j) as dc_entry finds them."""
+    leads = set()
+    return dc_entry(m, i, j, leads=leads), leads
+
+
+def _unpruned_pivots(m, i, j):
+    """(dim, leading monomials, row additions) of slice (i, j)
+    eliminated on every generator multiple, none skipped."""
+    n = m - 1
+    base = max(i, j) + 1
+    monos = _monomials(m, i, j)
+    cols = {_pack(xe, ye, base): k for k, (xe, ye) in enumerate(monos)}
+    rows = []
+    for a in range(m + 1):
+        for b in range(max(0, 2 - a), m + 1 - a):
+            if a > i or b > j:
+                continue
+            terms = [(_pack(xe, ye, base), c) for (xe, ye), c in _substituted(m, a, b)]
+            for xe in _compositions(i - a, n):
+                for ye in _compositions(j - b, n):
+                    shift = _pack(xe, ye, base)
+                    rows.append({cols[shift + code]: c for code, c in terms})
+    with _row_additions() as added:
+        red = _slice_echelon(len(monos), rows)
+    leads = {monos[k][0] + monos[k][1] for k in red.echelon}
+    return len(monos) - red.rank, leads, len(added)
+
+
+def test_skipped_rows_keep_every_slice_dim_and_pivot_set():
+    # the F5 criterion drops only rows in the span of the rows kept
+    cases = [(m, i, j) for m in (1, 2, 3, 4) for i, j in _eliminated_slices(m)[1]]
+    cases += [(5, i, d - i) for d in range(7) for i in range(d + 1)]
+    for m, i, j in cases:
+        assert _pivots(m, i, j) == _unpruned_pivots(m, i, j)[:2], (m, i, j)
+
+
+def test_criterion_skips_105_of_654_row_additions_at_m4():
+    with _row_additions() as added:
+        _, seen = _eliminated_slices(4)
+    unpruned = sum(_unpruned_pivots(4, i, j)[2] for i, j in seen)
+    assert (unpruned, len(added)) == (654, 549)
+
+
+@pytest.mark.parametrize("permute", [
+    lambda gens: gens[::-1],
+    lambda gens: random.Random(len(gens)).sample(gens, len(gens)),
+], ids=["reversed", "shuffled"])
+def test_any_generator_order_keeps_dims_and_pivots(permute, monkeypatch):
+    # the criterion holds for any order of the generators, only the
+    # rows it skips change
+    cases = [(m, i, j) for m in (3, 4) for i, j in _eliminated_slices(m)[1]]
+    real = coinvariants._generators
+    monkeypatch.setattr(coinvariants, "_generators", lambda m: permute(real(m)))
+    for m, i, j in cases:
+        assert _pivots(m, i, j) == _unpruned_pivots(m, i, j)[:2], (m, i, j)
 
 
 def test_every_slice_the_certificate_skips_eliminates_to_zero():
