@@ -343,9 +343,11 @@ def hodge_entry(m, i, j, method="bgg"):
     of the profile of the component entry_component(m, i, j).
 
     method "ce" runs the Lie algebra cohomology complex on the complete
-    component; any other runs the resolution complex ("bgg") on the three
-    terms around degree i only, since H^i needs just d_{i-1} and d_i
-    (profile_degree)."""
+    component, and "bgg" the resolution complex on the three terms around
+    degree i only, since H^i needs just d_{i-1} and d_i (profile_degree);
+    any other method raises ValueError."""
+    if method not in ("bgg", "ce"):
+        raise ValueError("unknown method %r: use 'bgg' or 'ce'" % (method,))
     k, r = entry_component(m, i, j)
     if method == "ce":
         from . import ce_oracle

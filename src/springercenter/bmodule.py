@@ -14,6 +14,11 @@ of weights, in which case asking for the dimension, the labels or a
 matrix at a weight outside the window raises MissingWeightSpace instead
 of silently returning zero.
 
+Every module here and in springer.py gets its lowering matrices from
+one builder, _build.  tensor, wedge, sym and direct_sum label the basis
+vectors of their factors by (weight, index) pairs, which sort as the
+factors' weight spaces do, and read f_i off the factors' columns.
+
 A word in the f_i acts through word_matrices, which forms the product
 of the lowering matrices along every prefix of the words it is given;
 serre_relations lists the relations those products must satisfy.  A
@@ -27,9 +32,9 @@ nothing outlives it.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .exactla import SparseMatrix, RowReducer, product_sum
+from .exactla import SparseMatrix, RowReducer, canonical, product_sum
 from . import rootdata
 
 
@@ -208,32 +213,51 @@ class BModule:
         return mat
 
 
+def _build(m, spaces, columns, name, window=None):
+    """The BModule on spaces (weight -> labels) whose f_i from mu to
+    target = mu - alpha_i has the columns columns(i, mu, target), a dict
+    col -> {row: coeff} as SparseMatrix.from_cols takes it.  This is the
+    one loop that builds lowering tables: f_i into a target weight with
+    no labels is zero, so columns is not asked for it."""
+    lower = {}
+    for mu, lbls in spaces.items():
+        for i in range(1, m):
+            target = rootdata.sub(mu, rootdata.simple_root(m, i))
+            if not spaces.get(target):
+                continue
+            cols = columns(i, mu, target)
+            if cols:
+                lower[(i, mu)] = SparseMatrix.from_cols(len(spaces[target]), len(lbls), cols)
+    return BModule(m, spaces, lower, name=name, window=window)
+
+
 def _module_from_action(m, labeled, act, name=""):
     """Build a complete BModule from elementwise generator action.
 
     labeled: list of (label, weight); act(i, label) -> dict label -> coeff.
+    An image term off the labels of the target weight raises ValueError.
     """
     spaces = {}
     for lbl, mu in labeled:
         spaces.setdefault(mu, []).append(lbl)
     index = {mu: {lbl: k for k, lbl in enumerate(lbls)} for mu, lbls in spaces.items()}
-    weight_of = {lbl: mu for lbl, mu in labeled}
-    lower = {}
-    for mu, lbls in spaces.items():
-        for i in range(1, m):
-            target = rootdata.sub(mu, rootdata.simple_root(m, i))
-            if target not in spaces:
-                continue
-            ent = {}
-            for col, lbl in enumerate(lbls):
-                for out_lbl, c in act(i, lbl).items():
-                    if weight_of[out_lbl] != target:
-                        raise ValueError("f_%d sends %r to %r, not to weight %r"
-                                         % (i, lbl, out_lbl, target))
-                    ent[(index[target][out_lbl], col)] = c
-            if ent:
-                lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(lbls), ent)
-    return BModule(m, spaces, lower, name=name)
+
+    def columns(i, mu, target):
+        rows, cols = index[target], {}
+        for c, lbl in enumerate(spaces[mu]):
+            col = {}
+            for out_lbl, v in act(i, lbl).items():
+                r = rows.get(out_lbl)
+                if r is None:
+                    raise ValueError("f_%d sends %r to %r, not to weight %r"
+                                     % (i, lbl, out_lbl, target))
+                if v:
+                    col[r] = v if type(v) is int else canonical(v)
+            if col:
+                cols[c] = col
+        return cols
+
+    return _build(m, spaces, columns, name)
 
 
 def lie_labels(m, name):
@@ -286,32 +310,21 @@ def trivial_module(m):
     return BModule(m, {zero: ["1"]}, {}, name="trivial")
 
 
-def _basis_enum(mod):
-    """Fixed global order of a module's basis: (gid -> (mu, idx, label))."""
-    out = []
-    for mu in sorted(mod.spaces):
-        for idx, lbl in enumerate(mod.spaces[mu]):
-            out.append((mu, idx, lbl))
-    return out
-
-
 def _elementwise(mod):
-    """act(i, gid) -> dict gid -> coeff, plus gid weight/label tables."""
-    basis = _basis_enum(mod)
-    gid_of = {}
-    for g, (mu, idx, lbl) in enumerate(basis):
-        gid_of[(mu, idx)] = g
-
+    """The basis of mod as (weight, index) pairs, sorted, and
+    act(i, pair) -> dict pair -> coeff.  The columns of each f_i are
+    relabelled once per (i, weight) and cached for the call's lifetime."""
+    basis = [(mu, idx) for mu in sorted(mod.spaces) for idx in range(len(mod.spaces[mu]))]
     cols_cache = {}
 
-    def act(i, g):
-        mu, idx, _ = basis[g]
-        key = (i, mu)
-        if key not in cols_cache:
+    def act(i, vec):
+        mu, idx = vec
+        cols = cols_cache.get((i, mu))
+        if cols is None:
             target = rootdata.sub(mu, rootdata.simple_root(mod.m, i))
-            cols_cache[key] = {c: {gid_of[(target, r)]: v for r, v in col.items()}
-                               for c, col in mod.lower_matrix(i, mu).cols.items()}
-        return cols_cache[key].get(idx, {})
+            cols = cols_cache[i, mu] = {c: {(target, r): v for r, v in col.items()}
+                                        for c, col in mod.lower_matrix(i, mu).cols.items()}
+        return cols.get(idx, {})
 
     return basis, act
 
@@ -319,55 +332,49 @@ def _elementwise(mod):
 def tensor(a, b):
     basis_a, act_a = _elementwise(a)
     basis_b, act_b = _elementwise(b)
-    labeled = []
-    for ga, (mua, _, la) in enumerate(basis_a):
-        for gb, (mub, _, lb) in enumerate(basis_b):
-            labeled.append(((ga, gb), rootdata.add(mua, mub)))
+    labeled = [((va, vb), rootdata.add(va[0], vb[0])) for va in basis_a for vb in basis_b]
 
     def act(i, lbl):
-        ga, gb = lbl
+        va, vb = lbl
         out = {}
-        for g2, c in act_a(i, ga).items():
-            out[(g2, gb)] = out.get((g2, gb), 0) + c
-        for g2, c in act_b(i, gb).items():
-            out[(ga, g2)] = out.get((ga, g2), 0) + c
+        for v2, c in act_a(i, va).items():
+            out[(v2, vb)] = out.get((v2, vb), 0) + c
+        for v2, c in act_b(i, vb).items():
+            out[(va, v2)] = out.get((va, v2), 0) + c
         return out
 
     return _module_from_action(a.m, labeled, act, name="(%s)x(%s)" % (a.name, b.name))
 
 
-def _sorted_with_sign(tup):
-    """Sort a tuple of distinct ints, tracking the permutation sign."""
-    lst = list(tup)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(lst), sign
+def _insert_sorted(tup, x):
+    """Insert x into a strictly increasing tuple; returns (tuple, position)
+    or (None, None) when x already occurs."""
+    if x in tup:
+        return None, None
+    pos = 0
+    while pos < len(tup) and tup[pos] < x:
+        pos += 1
+    return tup[:pos] + (x,) + tup[pos:], pos
+
+
+def _weight_sum(m, combo):
+    return reduce(rootdata.add, (v[0] for v in combo), tuple([0] * (m - 1)))
 
 
 def wedge(a, k):
     basis_a, act_a = _elementwise(a)
-    n = len(basis_a)
-    labeled = []
-    for combo in itertools.combinations(range(n), k):
-        mu = tuple([0] * (a.m - 1))
-        for g in combo:
-            mu = rootdata.add(mu, basis_a[g][0])
-        labeled.append((combo, mu))
+    labeled = [(combo, _weight_sum(a.m, combo))
+               for combo in itertools.combinations(basis_a, k)]
 
     def act(i, combo):
         out = {}
-        for t, g in enumerate(combo):
-            for g2, c in act_a(i, g).items():
-                if g2 in combo:
-                    continue
-                new = combo[:t] + (g2,) + combo[t + 1:]
-                new, sign = _sorted_with_sign(new)
-                out[new] = out.get(new, 0) + sign * c
+        for t, v in enumerate(combo):
+            rest = combo[:t] + combo[t + 1:]
+            for v2, c in act_a(i, v).items():
+                new, pos = _insert_sorted(rest, v2)
+                if new is not None:
+                    # the sign of moving v2 from slot t to slot pos
+                    out[new] = out.get(new, 0) + (c if (pos - t) % 2 == 0 else -c)
         return {kk: v for kk, v in out.items() if v}
 
     return _module_from_action(a.m, labeled, act, name="wedge^%d(%s)" % (k, a.name))
@@ -375,22 +382,17 @@ def wedge(a, k):
 
 def sym(a, p):
     basis_a, act_a = _elementwise(a)
-    n = len(basis_a)
-    labeled = []
-    for combo in itertools.combinations_with_replacement(range(n), p):
-        mu = tuple([0] * (a.m - 1))
-        for g in combo:
-            mu = rootdata.add(mu, basis_a[g][0])
-        labeled.append((combo, mu))
+    labeled = [(combo, _weight_sum(a.m, combo))
+               for combo in itertools.combinations_with_replacement(basis_a, p)]
 
     def act(i, combo):
         out = {}
-        for t, g in enumerate(combo):
-            if t > 0 and combo[t - 1] == g:
+        for t, v in enumerate(combo):
+            if t > 0 and combo[t - 1] == v:
                 continue  # act once per distinct slot value
-            mult = combo.count(g)
-            for g2, c in act_a(i, g).items():
-                new = tuple(sorted(combo[:t] + (g2,) + combo[t + 1:]))
+            mult = combo.count(v)
+            for v2, c in act_a(i, v).items():
+                new = tuple(sorted(combo[:t] + (v2,) + combo[t + 1:]))
                 out[new] = out.get(new, 0) + mult * c
         return {kk: v for kk, v in out.items() if v}
 
@@ -400,39 +402,29 @@ def sym(a, p):
 def direct_sum(a, b):
     basis_a, act_a = _elementwise(a)
     basis_b, act_b = _elementwise(b)
-    labeled = [(("L", g), basis_a[g][0]) for g in range(len(basis_a))]
-    labeled += [(("R", g), basis_b[g][0]) for g in range(len(basis_b))]
+    labeled = [(("L", v), v[0]) for v in basis_a] + [(("R", v), v[0]) for v in basis_b]
 
     def act(i, lbl):
-        side, g = lbl
-        inner = act_a(i, g) if side == "L" else act_b(i, g)
-        return {(side, g2): c for g2, c in inner.items()}
+        side, v = lbl
+        inner = act_a(i, v) if side == "L" else act_b(i, v)
+        return {(side, v2): c for v2, c in inner.items()}
 
     return _module_from_action(a.m, labeled, act, name="(%s)+(%s)" % (a.name, b.name))
 
 
 def dual(a):
-    spaces = {}
-    for mu, lbls in a.spaces.items():
-        neg = tuple(-c for c in mu)
-        spaces[neg] = [("dual", l) for l in lbls]
-    lower = {}
-    for mu in a.spaces:
-        for i in range(1, a.m):
-            # f_i on the dual of E[mu - alpha_i] is minus the transpose of
-            # f_i : E[mu] -> E[mu - alpha_i]
-            src = rootdata.sub(mu, rootdata.simple_root(a.m, i))
-            if src not in a.spaces:
-                continue
-            mat = a.lower_matrix(i, mu)
-            cols = {}
-            for c, col in mat.cols.items():
-                for r, v in col.items():
-                    cols.setdefault(r, {})[c] = -v
-            if cols:
-                neg_src = tuple(-c for c in src)
-                lower[(i, neg_src)] = SparseMatrix.from_cols(mat.ncols, mat.nrows, cols)
-    return BModule(a.m, spaces, lower, name="dual(%s)" % a.name)
+    spaces = {tuple(-c for c in mu): [("dual", l) for l in lbls] for mu, lbls in a.spaces.items()}
+
+    def columns(i, nu, target):
+        # f_i on the dual of E[mu - alpha_i], mu = -target, is minus the
+        # transpose of f_i : E[mu] -> E[mu - alpha_i]
+        cols = {}
+        for c, col in a.lower_matrix(i, tuple(-x for x in target)).cols.items():
+            for r, v in col.items():
+                cols.setdefault(r, {})[c] = -v
+        return cols
+
+    return _build(a.m, spaces, columns, "dual(%s)" % a.name)
 
 
 def natural_module(m):
@@ -486,20 +478,17 @@ def irreducible_module(m, lam):
     # the basis of each weight space is the reduced echelon basis of its span
     basis = {mu: list(red.reduced_rows().values()) for mu, red in reducers.items()}
     spaces = {mu: [("v", mu, k) for k in range(len(rows))] for mu, rows in basis.items()}
-    lower = {}
-    for mu in spaces:
-        for i in range(1, m):
-            target = rootdata.sub(mu, rootdata.simple_root(m, i))
-            if target not in spaces:
-                continue
-            mat = carrier.lower_matrix(i, mu)
-            ent = {}
-            for col, row in enumerate(basis[mu]):
-                for r, v in reducers[target].coordinates(mat.apply(row)).items():
-                    ent[(r, col)] = v
-            if ent:
-                lower[(i, mu)] = SparseMatrix(len(spaces[target]), len(spaces[mu]), ent)
-    mod = BModule(m, spaces, lower, name="L%r" % (lam,))
+
+    def columns(i, mu, target):
+        # the coordinates are Fractions, and from_cols stores values as given
+        mat, cols = carrier.lower_matrix(i, mu), {}
+        for c, row in enumerate(basis[mu]):
+            col = reducers[target].coordinates(mat.apply(row))
+            if col:
+                cols[c] = {r: canonical(v) for r, v in col.items()}
+        return cols
+
+    mod = _build(m, spaces, columns, "L%r" % (lam,))
     if mod.dim != rootdata.weyl_dim(lam):
         raise ValueError("L%r has dimension %d, not the Weyl dimension %d"
                          % (lam, mod.dim, rootdata.weyl_dim(lam)))

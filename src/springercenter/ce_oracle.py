@@ -12,12 +12,13 @@ weight space F[-sum(S)].
 
 The Koszul data depends on m alone and is built once per m (_koszul):
 the subsets by size, their weights, and the signed arrows of the
-differential, which ce_cohomology turns into blocks for
-exactla.block_complex.  The module blocks are the negative root
-matrices f_beta on the weight spaces F[-sum(S)]; many subsets share a
-weight, and the commutator recursion of BModule.root_lower_matrix
-reaches the same inner roots again, so ce_cohomology passes it one memo
-per call and each (root, weight) matrix is formed once.
+differential, which ce_cochain turns into blocks for
+exactla.block_complex, as bgg.bgg_cochain does for the resolution.
+The module blocks are the negative root matrices f_beta on the weight
+spaces F[-sum(S)]; many subsets share a weight, and the commutator
+recursion of BModule.root_lower_matrix reaches the same inner roots
+again, so ce_cochain passes it one memo per complex and each (root,
+weight) matrix is formed once.
 """
 
 import itertools
@@ -64,17 +65,12 @@ def _koszul(m):
     return subsets, weight, module_part, bracket_part
 
 
-def ce_cohomology(e, lam=None):
-    """Multiplicity profile of L_lam in the sheaf cohomology of e, via
-    weight-zero Lie algebra cohomology.  e must be a complete module."""
-    m = e.m
-    if e.window is not None:
-        raise ValueError("need a complete module (all weight spaces known)")
-    if lam is None or not any(lam):
-        f = e
-    else:
-        f = bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(m, lam)))
-    subsets, weight, module_part, bracket_part = _koszul(m)
+def ce_cochain(f):
+    """The weight-zero Koszul complex Hom(wedge^p n, f) of the module f,
+    whose degree-p cohomology is dim H^p(n, f)^0.  Every weight space it
+    reads must be known: a windowed f raises MissingWeightSpace on a
+    weight outside its window."""
+    subsets, weight, module_part, bracket_part = _koszul(f.m)
     dim = {s: f.weight_dim(nu) for s, nu in weight.items()}
     eye = {d: SparseMatrix(d, d, {(r, r): 1 for r in range(d)}) for d in set(dim.values())}
     memo = {}
@@ -88,8 +84,19 @@ def ce_cohomology(e, lam=None):
         for t, coeff in bracket_part[s]:
             yield t, coeff, eye[dim[s]]
 
-    return block_complex([[(s, dim[s]) for s in layer] for layer in subsets],
-                         blocks).cohomology_dims()
+    return block_complex([[(s, dim[s]) for s in layer] for layer in subsets], blocks)
+
+
+def ce_cohomology(e, lam=None):
+    """Multiplicity profile of L_lam in the sheaf cohomology of e, via
+    weight-zero Lie algebra cohomology.  e must be a complete module."""
+    if e.window is not None:
+        raise ValueError("need a complete module (all weight spaces known)")
+    if lam is None or not any(lam):
+        f = e
+    else:
+        f = bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(e.m, lam)))
+    return ce_cochain(f).cohomology_dims()
 
 
 def full_decomposition(e):

@@ -256,15 +256,23 @@ def cache_get(payload, valid):
 
 
 def cache_put(payload, result):
+    """Store result for payload.  A cache directory that cannot be made
+    or written to is warned about and skipped: the result is still
+    returned to the command that computed it."""
     d = _cache_dir()
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    except OSError as ex:
+        log.warning("result not cached: %s", ex)
+        return
     path = os.path.join(d, _cache_key(payload) + ".json")
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(result, fh)
         os.replace(tmp, path)
-    except OSError:
+    except OSError as ex:
+        log.warning("result not cached: %s", ex)
         try:
             os.unlink(tmp)
         except OSError:
@@ -318,9 +326,10 @@ def _diamond(args, method):
                "version": __version__}
     keys = {"%d,%d" % e for e in bgg.diamond_entries(args.m)}
 
+    # type, not isinstance: JSON true loads as a bool, which is an int
     def valid(res):
         return (isinstance(res, dict) and set(res) == keys
-                and all(isinstance(v, int) for v in res.values()))
+                and all(type(v) is int for v in res.values()))
 
     result = None if args.no_cache else cache_get(payload, valid)
     if result is not None:
@@ -367,10 +376,11 @@ def cmd_cohomology(args):
     payload = {"cmd": "cohomology", "m": args.m, "expr": render_expression(node),
                "lam": lam, "method": method, "version": __version__}
 
+    # type, not isinstance: JSON true loads as a bool, which is an int
     def valid(res):
         return (isinstance(res, dict) and isinstance(res.get("expr"), str)
                 and isinstance(res.get("profile"), list)
-                and all(isinstance(v, int) for v in res["profile"]))
+                and all(type(v) is int for v in res["profile"]))
 
     result = None if args.no_cache else cache_get(payload, valid)
     if result is None:

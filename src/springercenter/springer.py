@@ -30,7 +30,8 @@ g-set goes to -h_i, and substituting -y_{h_i} for it puts one factor
 more into the monomial and into the n-set.  _FactorTables interns each
 factor of sl_m as a small int and memoises these images per factor id,
 so VkComponent keys each weight's index by id triples, and its build
-neither acts on nor substitutes in a nested label.  project() still
+neither acts on nor substitutes in a nested label; bmodule._build
+assembles the matrices, as for every other module.  project() still
 substitutes label by label, for the witness and the tests.
 
 Every label list, ambient or kept, comes from one walker, _blocks, over
@@ -55,10 +56,10 @@ BModule suitable for Lie algebra cohomology.
 import itertools
 from functools import lru_cache, partial, reduce
 
-from .exactla import SparseMatrix, kernel_basis
+from .exactla import kernel_basis
 from . import rootdata
 from . import bmodule
-from .bmodule import BModule, gl_label_weight
+from .bmodule import _insert_sorted, gl_label_weight
 
 
 class WitnessNotInvariant(Exception):
@@ -192,17 +193,6 @@ def ambient_bases(m, k, r):
 
 def ambient_component(m, k, r, mu):
     return ambient_bases(m, k, r).get(mu, [])
-
-
-def _insert_sorted(tup, x):
-    """Insert x into a strictly increasing tuple; returns (tuple, position)
-    or (None, None) when x already occurs."""
-    if x in tup:
-        return None, None
-    pos = 0
-    while pos < len(tup) and tup[pos] < x:
-        pos += 1
-    return tup[:pos] + (x,) + tup[pos:], pos
 
 
 def _delta_wedge(m, s_mono, x, omega):
@@ -455,10 +445,10 @@ class VkComponent:
 
     The kept labels are enumerated directly, in the order of _blocks,
     and each weight that has any keeps an index keyed by their id
-    triples in the m's _FactorTables.  Each lowering matrix sums the
-    memoised images of the three factors of each label, so its entries,
-    and their order, are those of acting on each label and projecting
-    it.
+    triples in the m's _FactorTables.  Each lowering matrix, built by
+    bmodule._build, sums the memoised images of the three factors of
+    each label, so its entries, and their order, are those of acting on
+    each label and projecting it.
     """
 
     def __init__(self, m, k, r, window=None):
@@ -470,19 +460,9 @@ class VkComponent:
             if mu in bases:
                 spaces[mu], keys[mu] = bases[mu]
                 self._index[mu] = {key: j for j, key in enumerate(keys[mu])}
-        lower = {}
-        for mu, lbls in spaces.items():
-            for i in range(1, m):
-                target = rootdata.sub(mu, rootdata.simple_root(m, i))
-                # without kept labels at target, f_i maps to zero
-                if target not in self._index:
-                    continue
-                cols = tables.lowering(i, keys[mu], self._index[target])
-                if cols:
-                    lower[(i, mu)] = SparseMatrix.from_cols(len(spaces[target]),
-                                                            len(lbls), cols)
-        self.module = BModule(m, spaces, lower, name="V_%d^{-%d}" % (k, 2 * r),
-                              window=window)
+        self.module = bmodule._build(
+            m, spaces, lambda i, mu, target: tables.lowering(i, keys[mu], self._index[target]),
+            "V_%d^{-%d}" % (k, 2 * r), window)
 
     def project(self, mu, label_vec):
         """Project an ambient vector, given as dict label -> coeff, to

@@ -1,6 +1,6 @@
 """Views of package objects that only the tests need."""
 
-from springercenter import ce_oracle, exactla
+from springercenter import exactla
 from springercenter.bmodule import serre_relations
 from springercenter.exactla import RowReducer, SparseMatrix
 
@@ -66,23 +66,6 @@ class SerreQuotient:
         """The words off the pivots of space(counts), in order."""
         words, red = self.space(counts)
         return [w for c, w in enumerate(words) if c not in red.echelon]
-
-
-def ce_complex(mod):
-    """The weight-zero Lie algebra cohomology complex that
-    ce_oracle.ce_cohomology ranks for the complete module mod."""
-    made = []
-
-    def keep(layers, blocks):
-        made.append(exactla.block_complex(layers, blocks))
-        return made[-1]
-
-    real, ce_oracle.block_complex = ce_oracle.block_complex, keep
-    try:
-        ce_oracle.ce_cohomology(mod)
-    finally:
-        ce_oracle.block_complex = real
-    return made[0]
 
 
 def assert_cleared_sweeps_agree(cx):

@@ -300,6 +300,17 @@ def test_invalid_entry_rejected():
         hodge_entry(3, 5, 5)
 
 
+def test_unknown_method_is_refused_before_building(monkeypatch):
+    # a method other than "bgg" or "ce", even "CE", must not fall through to a route
+    def build(*args, **kwargs):
+        raise AssertionError("a component was built")
+
+    monkeypatch.setattr(springer, "build_vk_component", build)
+    for method in ("CE", "resolution"):
+        with pytest.raises(ValueError, match="unknown method %r" % method):
+            hodge_diamond(3, method=method)
+
+
 def test_parallel_diamond_matches_serial():
     assert hodge_diamond(3, jobs=2) == hodge_diamond(3)
 

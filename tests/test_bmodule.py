@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from springercenter import rootdata, springer
+from springercenter import bmodule, rootdata, springer
 from springercenter.bmodule import (
     bracket, gl_label_weight, lie_labels, adjoint_g, sub_n, sub_b, quotient_u,
     trivial_module, natural_module, irreducible_module, tensor, wedge,
@@ -240,6 +241,18 @@ def test_irreducible_adjoint_matches_adjoint_character():
         assert character(mod) == character(adjoint_g(m))
 
 
+def test_action_landing_at_the_wrong_weight_raises():
+    # f_1 sends v_0 to v_1 on the natural module; v_2 has another weight
+    nat = natural_module(3)
+    labeled = [(lbl, mu) for mu, lbls in nat.spaces.items() for lbl in lbls]
+
+    def act(i, lbl):
+        return {("v", 2): 1} if (i, lbl) == (1, ("v", 0)) else {}
+
+    with pytest.raises(ValueError, match=r"f_1 sends \('v', 0\) to \('v', 2\), not to weight"):
+        bmodule._module_from_action(3, labeled, act)
+
+
 def test_incomplete_module_raises_outside_window():
     g = adjoint_g(3)
     windowed = BModule(3, {mu: g.labels(mu) for mu in [(1, 1)]}, {}, window={(1, 1)})
@@ -299,3 +312,39 @@ def test_check_serre_raises_on_a_doubled_lowering_matrix():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
+
+
+def _generic_modules():
+    n3, u3, g3, n4 = sub_n(3), quotient_u(3), adjoint_g(3), sub_n(4)
+    l21 = irreducible_module(3, (2, 1))
+    # f_i halved on the natural module: sym^2 doubles its entries back to
+    # integers, which must be stored as ints
+    nat = natural_module(3)
+    half = BModule(3, nat.spaces, {key: SparseMatrix(mat.nrows, mat.ncols,
+                                                     {rc: Fraction(v, 2) for rc, v
+                                                      in mat.entries.items()})
+                                   for key, mat in nat.lower.items()})
+    return [sym(half, 2), tensor(half, dual(half)), wedge(half, 2),
+            tensor(n3, u3), tensor(l21, wedge(natural_module(3), 2)),
+            wedge(g3, 2), wedge(n4, 3), wedge(tensor(n3, u3), 2),
+            sym(u3, 2), sym(l21, 2), sym(dual(n3), 3),
+            direct_sum(g3, dual(sub_b(3))), direct_sum(n4, quotient_u(4)),
+            dual(g3), dual(tensor(n4, n4)), dual(l21),
+            l21, irreducible_module(3, (1, 1)), irreducible_module(4, (1, 0, 1)),
+            irreducible_module(4, (0, 2, 1))]
+
+
+def test_generic_module_matrices_are_pinned():
+    # weight, dim and the sorted entries of every lowering matrix, with
+    # their int or Fraction type, of the generic constructors on sl3/sl4
+    # inputs; labels are left out, so only the matrices are pinned
+    seen = []
+    for mod in _generic_modules():
+        seen.append([(mu, len(mod.spaces[mu])) for mu in sorted(mod.spaces)])
+        for mu in sorted(mod.spaces):
+            for i in range(1, mod.m):
+                if rootdata.sub(mu, rootdata.simple_root(mod.m, i)) in mod.spaces:
+                    mat = mod.lower_matrix(i, mu)
+                    seen.append((i, mu, mat.nrows, mat.ncols, sorted(mat.entries.items())))
+    assert (hashlib.sha256(repr(seen).encode()).hexdigest()
+            == "50ec75cc0bf3a60b8a37d3f24c045c5f2b381f7f7d2bafc08a3e553c5ba98cde")

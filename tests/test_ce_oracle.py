@@ -8,9 +8,9 @@ from springercenter.bmodule import (
     BModule,
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge,
 )
-from springercenter.ce_oracle import ce_cohomology
+from springercenter.ce_oracle import ce_cochain, ce_cohomology
 
-from helpers import assert_cleared_sweeps_agree, ce_complex
+from helpers import assert_cleared_sweeps_agree
 
 
 def test_structure_sheaf_cohomology():
@@ -91,14 +91,14 @@ def test_cleared_images_of_every_sl4_ce_complex_span_as_in_a_full_sweep():
     components = sorted({bgg.entry_component(4, i, j) for (i, j) in bgg.diamond_entries(4)})
     assert len(components) == 16
     for k, r in components:
-        assert_cleared_sweeps_agree(ce_complex(springer.build_vk_component(4, k, r).module))
+        assert_cleared_sweeps_agree(ce_cochain(springer.build_vk_component(4, k, r).module))
 
 
 @pytest.mark.parametrize("force_full, steps", [(False, 2632), (True, 5250)])
 def test_cleared_ranks_clear_only_leading_columns(monkeypatch, force_full, steps):
     # an elimination step reads one pivot row, echelon[p]; on V_6^{-6}
     # the cleared ranks take half the steps of a full sweep (full=True)
-    cx = ce_complex(springer.build_vk_component(4, 6, 3).module)
+    cx = ce_cochain(springer.build_vk_component(4, 6, 3).module)
     count = [0]
 
     class Counted(dict):

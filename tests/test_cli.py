@@ -114,7 +114,7 @@ def test_entry_written_by_other_sources_is_not_served(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("bad", ['[]', '{"0,0": 1}', '{"0,0": "1", "1,1": 1, "0,2": 1}',
-                                 '"x"'])
+                                 '"x"', '{"0,0": true, "1,1": false, "0,2": true}'])
 def test_wrong_shaped_diamond_entry_is_recomputed(tmp_path, monkeypatch, capsys, bad):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, first, _ = run(["diamond", "--m", "2"], capsys)
@@ -131,10 +131,40 @@ def test_wrong_shaped_cohomology_entry_is_recomputed(tmp_path, monkeypatch, caps
     argv = ["cohomology", "--m", "2", "--expr", "g"]
     code, first, _ = run(argv, capsys)
     assert code == 0
-    for bad in ['[]', '{"expr": "g"}', '{"expr": "g", "profile": [1, "x"]}']:
+    for bad in ['[]', '{"expr": "g"}', '{"expr": "g", "profile": [1, "x"]}',
+                '{"expr": "g", "profile": [true, false]}']:
         [name] = os.listdir(tmp_path)
         (tmp_path / name).write_text(bad)
         assert run(argv, capsys) == (0, first, "")
+
+
+@pytest.mark.parametrize("argv", [["diamond", "--m", "2"],
+                                  ["cohomology", "--m", "2", "--expr", "g"]])
+def test_unusable_cache_directory_is_skipped_with_a_warning(tmp_path, monkeypatch, capsys,
+                                                            argv):
+    code, expected, _ = run(argv + ["--no-cache"], capsys)
+    assert code == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # makedirs raises FileExistsError on the file, NotADirectoryError below it
+    for cache in (blocker, blocker / "sub"):
+        monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (0, expected)
+        assert "WARNING result not cached" in err
+    assert blocker.read_text() == ""
+
+
+def test_failed_cache_write_is_warned_about_and_cleaned_up(tmp_path, monkeypatch, capsys):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(cli.os, "replace", full)
+    code, out, err = run(["diamond", "--m", "2"], capsys)
+    assert code == 0 and out.endswith("total 3\n")
+    assert "WARNING result not cached: [Errno 28]" in err
+    assert not os.listdir(tmp_path)
 
 
 def test_no_cache_leaves_directory_empty(tmp_path, monkeypatch, capsys):

@@ -10,22 +10,41 @@ import springercenter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_no_bare_asserts_in_the_package():
-    # python -O strips asserts, so an invariant check must raise instead
+def _package_modules():
+    """(path relative to the package, parsed tree) of every package module."""
     pkg = os.path.dirname(springercenter.__file__)
-    parsed, found = [], []
+    out = []
     for root, _, files in os.walk(pkg):
         for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(root, name)
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            parsed.append(name)
-            found += ["%s:%d" % (os.path.relpath(path, pkg), node.lineno)
-                      for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert "exactla.py" in parsed and "cli.py" in parsed
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    out.append((os.path.relpath(path, pkg), ast.parse(fh.read(), filename=path)))
+    return out
+
+
+def test_no_bare_asserts_in_the_package():
+    # python -O strips asserts, so an invariant check must raise instead
+    modules = _package_modules()
+    assert {"exactla.py", "cli.py"} <= {rel for rel, _ in modules}
+    found = ["%s:%d" % (rel, node.lineno) for rel, tree in modules
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "bare asserts: %s" % ", ".join(found)
+
+
+def test_no_unused_top_level_imports_in_the_package():
+    # a refactor that leaves an import behind still pays for it on every import
+    modules = _package_modules()
+    assert {"bmodule.py", "springer.py"} <= {rel for rel, _ in modules}
+    found = []
+    for rel, tree in modules:
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += ["%s:%d %s" % (rel, node.lineno, name) for name in
+                          (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                          if name not in used]
+    assert not found, "unused imports: %s" % ", ".join(found)
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
