@@ -337,6 +337,11 @@ def profile_degree(m, k, r, i):
     return cx.cohomology_dims()[i - lo]
 
 
+def _check_method(method):
+    if method not in ("bgg", "ce"):
+        raise ValueError("unknown method %r: use 'bgg' or 'ce'" % (method,))
+
+
 def hodge_entry(m, i, j, method="bgg"):
     """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
     the tangent sheaf, as a multiplicity of the trivial module: degree i
@@ -346,8 +351,7 @@ def hodge_entry(m, i, j, method="bgg"):
     component, and "bgg" the resolution complex on the three terms around
     degree i only, since H^i needs just d_{i-1} and d_i (profile_degree);
     any other method raises ValueError."""
-    if method not in ("bgg", "ce"):
-        raise ValueError("unknown method %r: use 'bgg' or 'ce'" % (method,))
+    _check_method(method)
     k, r = entry_component(m, i, j)
     if method == "ce":
         from . import ce_oracle
@@ -380,6 +384,7 @@ def hodge_diamond(m, jobs=1, method="bgg"):
     from the largest j down, as the costliest entries sit at large j and
     should not start last in the pool.  The entries with j > n are read
     off their partners (i, 2n - j)."""
+    _check_method(method)
     n = m * (m - 1) // 2
     entries = diamond_entries(m)
     direct = sorted([(i, j) for (i, j) in entries if j <= n], key=lambda e: (-e[1], e[0]))

@@ -1,11 +1,11 @@
 """Weight-graded modules over the Borel of sl_m.
 
 A BModule stores a basis split into weight spaces together with the
-matrices of the simple lowering operators f_i = E_{i+1,i}.  That is all
-the structure the resolution complexes and the Lie algebra cohomology
-computations need: the Borel action is generated by the f_i (the torus
-part is the grading itself), and non-simple root vectors act through
-iterated commutators.
+matrices of the simple lowering operators f_i = E_{i+1,i}, and the
+action it was built from, which gives every negative root vector
+f_(a,b) = E_ba.  That is all the structure the resolution complexes and
+the Lie algebra cohomology computations need: the Borel action is
+generated by the f_i (the torus part is the grading itself).
 
 Modules built by the constructors here are "complete" (window None): a
 weight absent from the table genuinely has a zero weight space.  The
@@ -14,27 +14,26 @@ of weights, in which case asking for the dimension, the labels or a
 matrix at a weight outside the window raises MissingWeightSpace instead
 of silently returning zero.
 
-Every module here and in springer.py gets its lowering matrices from
-one builder, _build.  tensor, wedge, sym and direct_sum label the basis
-vectors of their factors by (weight, index) pairs, which sort as the
-factors' weight spaces do, and read f_i off the factors' columns.
+Every module here and in springer.py is built by one builder, _build,
+from its action on each positive root.  tensor, wedge, sym and
+direct_sum label the basis vectors of their factors by (weight, index)
+pairs, which sort as the factors' weight spaces do, and read f_(a,b)
+off the factors' columns.
 
 A word in the f_i acts through word_matrices, which forms the product
 of the lowering matrices along every prefix of the words it is given;
 serre_relations lists the relations those products must satisfy.  A
-negative root vector acts through root_lower_matrix, a nested
-commutator formed per level as one accumulation of its two products
-(exactla.product_sum), with no product formed on its own.  Neither
-keeps a cache:
-word_matrices memoises within one call, root_lower_matrix in the dict
-its caller passes, so a product is formed once per computation and
-nothing outlives it.
+negative root vector acts through root_lower_matrix, which reads a
+simple root off the stored table and forms any other from the module's
+action, with no product.  Neither keeps a cache: word_matrices memoises
+within one call, and a caller that reads a root matrix more than once
+keeps it itself, so nothing outlives the computation that asked.
 """
 
 import itertools
 from functools import lru_cache, reduce
 
-from .exactla import SparseMatrix, RowReducer, canonical, product_sum
+from .exactla import SparseMatrix, RowReducer, canonical
 from . import rootdata
 
 
@@ -99,19 +98,17 @@ def gl_label_weight(m, lbl):
     return rootdata.root_weight(m, lbl[1], lbl[2])
 
 
-def f_label(m, i):
-    return ("E", i, i - 1)
-
-
 class BModule:
-    def __init__(self, m, spaces, lower, name="", window=None):
+    def __init__(self, m, spaces, lower, name="", window=None, columns=None):
         """window: the weights a windowed module has materialized, some
-        possibly as zero spaces; None for a complete module."""
+        possibly as zero spaces; None for a complete module.  columns:
+        the action, as _build takes it, for root_lower_matrix."""
         self.m = m
         self.name = name
         self.window = None if window is None else frozenset(window)
         self.spaces = {mu: list(lbls) for mu, lbls in spaces.items() if lbls}
         self.lower = lower
+        self.columns = columns
 
     @property
     def dim(self):
@@ -182,59 +179,46 @@ class BModule:
                 total[k] = total.get(k, 0) + coeff * v
         return out_mu, {k: v for k, v in total.items() if v}
 
-    def root_lower_matrix(self, root, mu, memo=None):
-        """Matrix of the negative root vector f_{(a,b)} = E_{b,a} on the mu
-        weight space, via f_{(a,b)} = [f_b, f_{(a,b-1)}] (0-indexed root
-        (a,b), 1-indexed simple generators).  The nested bracket takes
-        fewer products than running its expansion into words through
-        word_matrices.
-
-        memo, a dict (root, mu) -> matrix, is passed down to both inner
-        calls, f_{(a,b-1)} at mu and at mu - alpha_b, so that each
-        non-simple key it holds is formed once, by one product_sum.  As
-        in word_matrices, the memo lives only as long as the caller's
-        dict: no cache is kept on the module or globally, so nothing
-        holds a module's matrices after the computation that asked for
-        them.  Without a memo every call forms its matrix afresh."""
+    def root_lower_matrix(self, root, mu):
+        """Matrix of the negative root vector f_(a,b) = E_ba, for the
+        0-indexed positive root (a, b), from the mu weight space to the
+        mu - (eps_a - eps_b) one.  A simple root reads the stored f_i;
+        any other is formed on each call as one matrix of the module's
+        own columns, with no product and no cache."""
         a, b = root
         if b == a + 1:
             return self.lower_matrix(b, mu)
-        if memo is not None and (root, mu) in memo:
-            return memo[(root, mu)]
-        inner = self.root_lower_matrix((a, b - 1), mu, memo)
-        mid1 = rootdata.sub(mu, rootdata.root_weight(self.m, a, b - 1))
-        mid2 = rootdata.sub(mu, rootdata.simple_root(self.m, b))
-        # [f_b, f_{(a,b-1)}] = f_b f_{(a,b-1)} - f_{(a,b-1)} f_b
-        mat = product_sum([(1, self.lower_matrix(b, mid1), inner),
-                           (-1, self.root_lower_matrix((a, b - 1), mid2, memo),
-                            self.lower_matrix(b, mu))])
-        if memo is not None:
-            memo[(root, mu)] = mat
-        return mat
+        target = rootdata.sub(mu, rootdata.root_weight(self.m, a, b))
+        nrows, ncols = self.weight_dim(target), self.weight_dim(mu)
+        if not (nrows and ncols):
+            return SparseMatrix(nrows, ncols)
+        return SparseMatrix.from_cols(nrows, ncols, self.columns(root, mu, target))
 
 
 def _build(m, spaces, columns, name, window=None):
-    """The BModule on spaces (weight -> labels) whose f_i from mu to
-    target = mu - alpha_i has the columns columns(i, mu, target), a dict
-    col -> {row: coeff} as SparseMatrix.from_cols takes it.  This is the
-    one loop that builds lowering tables: f_i into a target weight with
-    no labels is zero, so columns is not asked for it."""
+    """The BModule on spaces (weight -> labels) whose f_(a,b) = E_ba
+    sends mu to target = mu - (eps_a - eps_b) by the columns
+    columns((a, b), mu, target), a dict col -> {row: coeff} as
+    SparseMatrix.from_cols takes it.  This is the one loop that builds
+    lowering tables: it stores f_i = f_(i-1,i), and the module keeps
+    columns for the other roots; a target without labels is skipped."""
     lower = {}
     for mu, lbls in spaces.items():
         for i in range(1, m):
             target = rootdata.sub(mu, rootdata.simple_root(m, i))
             if not spaces.get(target):
                 continue
-            cols = columns(i, mu, target)
+            cols = columns((i - 1, i), mu, target)
             if cols:
                 lower[(i, mu)] = SparseMatrix.from_cols(len(spaces[target]), len(lbls), cols)
-    return BModule(m, spaces, lower, name=name, window=window)
+    return BModule(m, spaces, lower, name=name, window=window, columns=columns)
 
 
 def _module_from_action(m, labeled, act, name=""):
-    """Build a complete BModule from elementwise generator action.
+    """Build a complete BModule from elementwise root action.
 
-    labeled: list of (label, weight); act(i, label) -> dict label -> coeff.
+    labeled: list of (label, weight); act(root, label) -> dict label ->
+    coeff is f_(a,b) = E_ba on one label, for the positive root (a, b).
     An image term off the labels of the target weight raises ValueError.
     """
     spaces = {}
@@ -242,15 +226,15 @@ def _module_from_action(m, labeled, act, name=""):
         spaces.setdefault(mu, []).append(lbl)
     index = {mu: {lbl: k for k, lbl in enumerate(lbls)} for mu, lbls in spaces.items()}
 
-    def columns(i, mu, target):
+    def columns(root, mu, target):
         rows, cols = index[target], {}
         for c, lbl in enumerate(spaces[mu]):
             col = {}
-            for out_lbl, v in act(i, lbl).items():
+            for out_lbl, v in act(root, lbl).items():
                 r = rows.get(out_lbl)
                 if r is None:
-                    raise ValueError("f_%d sends %r to %r, not to weight %r"
-                                     % (i, lbl, out_lbl, target))
+                    raise ValueError("f_%r sends %r to %r, not to weight %r"
+                                     % (root, lbl, out_lbl, target))
                 if v:
                     col[r] = v if type(v) is int else canonical(v)
             if col:
@@ -273,17 +257,18 @@ def lie_labels(m, name):
 
 
 @lru_cache(maxsize=None)
-def lie_action(m, i, name):
-    """f_i acting by the bracket on lie_labels(m, name), as label ->
-    {label: coeff}; on u = g/b the part of each bracket in b is dropped."""
+def lie_action(m, root, name):
+    """f_(a,b) = E_ba, for the positive root (a, b), acting by the
+    bracket on lie_labels(m, name), as label -> {label: coeff}; on
+    u = g/b the part of each bracket in b is dropped."""
     labels = lie_labels(m, name)
-    keep, f = set(labels), f_label(m, i)
+    keep, f = set(labels), ("E", root[1], root[0])
     return {x: {k: v for k, v in bracket(m, f, x).items() if k in keep} for x in labels}
 
 
 def _lie_module(m, name):
     labeled = [(l, gl_label_weight(m, l)) for l in lie_labels(m, name)]
-    return _module_from_action(m, labeled, lambda i, lbl: lie_action(m, i, name)[lbl],
+    return _module_from_action(m, labeled, lambda root, lbl: lie_action(m, root, name)[lbl],
                                name=name)
 
 
@@ -306,24 +291,25 @@ def quotient_u(m):
 
 
 def trivial_module(m):
-    zero = tuple([0] * (m - 1))
-    return BModule(m, {zero: ["1"]}, {}, name="trivial")
+    return _module_from_action(m, [("1", tuple([0] * (m - 1)))], lambda root, lbl: {},
+                               name="trivial")
 
 
 def _elementwise(mod):
     """The basis of mod as (weight, index) pairs, sorted, and
-    act(i, pair) -> dict pair -> coeff.  The columns of each f_i are
-    relabelled once per (i, weight) and cached for the call's lifetime."""
+    act(root, pair) -> dict pair -> coeff.  The columns of each f_root
+    are relabelled once per (root, weight), cached as long as act lives."""
     basis = [(mu, idx) for mu in sorted(mod.spaces) for idx in range(len(mod.spaces[mu]))]
     cols_cache = {}
 
-    def act(i, vec):
+    def act(root, vec):
         mu, idx = vec
-        cols = cols_cache.get((i, mu))
+        cols = cols_cache.get((root, mu))
         if cols is None:
-            target = rootdata.sub(mu, rootdata.simple_root(mod.m, i))
-            cols = cols_cache[i, mu] = {c: {(target, r): v for r, v in col.items()}
-                                        for c, col in mod.lower_matrix(i, mu).cols.items()}
+            target = rootdata.sub(mu, rootdata.root_weight(mod.m, *root))
+            mat = mod.root_lower_matrix(root, mu)
+            cols = cols_cache[root, mu] = {c: {(target, r): v for r, v in col.items()}
+                                           for c, col in mat.cols.items()}
         return cols.get(idx, {})
 
     return basis, act
@@ -334,12 +320,12 @@ def tensor(a, b):
     basis_b, act_b = _elementwise(b)
     labeled = [((va, vb), rootdata.add(va[0], vb[0])) for va in basis_a for vb in basis_b]
 
-    def act(i, lbl):
+    def act(root, lbl):
         va, vb = lbl
         out = {}
-        for v2, c in act_a(i, va).items():
+        for v2, c in act_a(root, va).items():
             out[(v2, vb)] = out.get((v2, vb), 0) + c
-        for v2, c in act_b(i, vb).items():
+        for v2, c in act_b(root, vb).items():
             out[(va, v2)] = out.get((va, v2), 0) + c
         return out
 
@@ -366,11 +352,11 @@ def wedge(a, k):
     labeled = [(combo, _weight_sum(a.m, combo))
                for combo in itertools.combinations(basis_a, k)]
 
-    def act(i, combo):
+    def act(root, combo):
         out = {}
         for t, v in enumerate(combo):
             rest = combo[:t] + combo[t + 1:]
-            for v2, c in act_a(i, v).items():
+            for v2, c in act_a(root, v).items():
                 new, pos = _insert_sorted(rest, v2)
                 if new is not None:
                     # the sign of moving v2 from slot t to slot pos
@@ -385,13 +371,13 @@ def sym(a, p):
     labeled = [(combo, _weight_sum(a.m, combo))
                for combo in itertools.combinations_with_replacement(basis_a, p)]
 
-    def act(i, combo):
+    def act(root, combo):
         out = {}
         for t, v in enumerate(combo):
             if t > 0 and combo[t - 1] == v:
                 continue  # act once per distinct slot value
             mult = combo.count(v)
-            for v2, c in act_a(i, v).items():
+            for v2, c in act_a(root, v).items():
                 new = tuple(sorted(combo[:t] + (v2,) + combo[t + 1:]))
                 out[new] = out.get(new, 0) + mult * c
         return {kk: v for kk, v in out.items() if v}
@@ -404,9 +390,9 @@ def direct_sum(a, b):
     basis_b, act_b = _elementwise(b)
     labeled = [(("L", v), v[0]) for v in basis_a] + [(("R", v), v[0]) for v in basis_b]
 
-    def act(i, lbl):
+    def act(root, lbl):
         side, v = lbl
-        inner = act_a(i, v) if side == "L" else act_b(i, v)
+        inner = act_a(root, v) if side == "L" else act_b(root, v)
         return {(side, v2): c for v2, c in inner.items()}
 
     return _module_from_action(a.m, labeled, act, name="(%s)+(%s)" % (a.name, b.name))
@@ -415,11 +401,11 @@ def direct_sum(a, b):
 def dual(a):
     spaces = {tuple(-c for c in mu): [("dual", l) for l in lbls] for mu, lbls in a.spaces.items()}
 
-    def columns(i, nu, target):
-        # f_i on the dual of E[mu - alpha_i], mu = -target, is minus the
-        # transpose of f_i : E[mu] -> E[mu - alpha_i]
+    def columns(root, nu, target):
+        # f_root on the dual of E[mu - beta], mu = -target, is minus the
+        # transpose of f_root : E[mu] -> E[mu - beta]
         cols = {}
-        for c, col in a.lower_matrix(i, tuple(-x for x in target)).cols.items():
+        for c, col in a.root_lower_matrix(root, tuple(-x for x in target)).cols.items():
             for r, v in col.items():
                 cols.setdefault(r, {})[c] = -v
         return cols
@@ -435,11 +421,9 @@ def natural_module(m):
         v[lbl[1]] = 1
         return rootdata.from_eps(v)
 
-    def act(i, lbl):
-        # E_{i+1,i} v_a = delta_{a,i-1} v_i (0-indexed basis positions)
-        if lbl[1] == i - 1:
-            return {("v", i): 1}
-        return {}
+    def act(root, lbl):
+        # E_ba v_c = delta_{ac} v_b (0-indexed basis positions)
+        return {("v", root[1]): 1} if lbl[1] == root[0] else {}
 
     return _module_from_action(m, [(l, wt(l)) for l in labels], act, name="natural")
 
@@ -479,9 +463,9 @@ def irreducible_module(m, lam):
     basis = {mu: list(red.reduced_rows().values()) for mu, red in reducers.items()}
     spaces = {mu: [("v", mu, k) for k in range(len(rows))] for mu, rows in basis.items()}
 
-    def columns(i, mu, target):
+    def columns(root, mu, target):
         # the coordinates are Fractions, and from_cols stores values as given
-        mat, cols = carrier.lower_matrix(i, mu), {}
+        mat, cols = carrier.root_lower_matrix(root, mu), {}
         for c, row in enumerate(basis[mu]):
             col = reducers[target].coordinates(mat.apply(row))
             if col:

@@ -15,10 +15,10 @@ the subsets by size, their weights, and the signed arrows of the
 differential, which ce_cochain turns into blocks for
 exactla.block_complex, as bgg.bgg_cochain does for the resolution.
 The module blocks are the negative root matrices f_beta on the weight
-spaces F[-sum(S)]; many subsets share a weight, and the commutator
-recursion of BModule.root_lower_matrix reaches the same inner roots
-again, so ce_cochain passes it one memo per complex and each (root,
-weight) matrix is formed once.
+spaces F[-sum(S)], each formed by the module's own action
+(BModule.root_lower_matrix) on those weights alone; many subsets share
+a weight, so ce_cochain keeps each (root, weight) matrix while it
+assembles one complex, and forms it once.
 """
 
 import itertools
@@ -73,14 +73,14 @@ def ce_cochain(f):
     subsets, weight, module_part, bracket_part = _koszul(f.m)
     dim = {s: f.weight_dim(nu) for s, nu in weight.items()}
     eye = {d: SparseMatrix(d, d, {(r, r): 1 for r in range(d)}) for d in set(dim.values())}
-    memo = {}
+    root_matrix = lru_cache(maxsize=None)(f.root_lower_matrix)
 
     def blocks(p, s):
         # forming root matrices is the costly step: each (root, weight) is
-        # formed once into the memo, and a zero target is skipped first
+        # formed once, and a zero target is skipped first
         for root, t, sign in module_part[s]:
             if dim[t]:
-                yield t, sign, f.root_lower_matrix(root, weight[s], memo)
+                yield t, sign, root_matrix(root, weight[s])
         for t, coeff in bracket_part[s]:
             yield t, coeff, eye[dim[s]]
 
@@ -89,14 +89,16 @@ def ce_cochain(f):
 
 def ce_cohomology(e, lam=None):
     """Multiplicity profile of L_lam in the sheaf cohomology of e, via
-    weight-zero Lie algebra cohomology.  e must be a complete module."""
+    weight-zero Lie algebra cohomology.  e must be a complete module.
+    A tensor built for lam holds its factors' relabelled columns, so it
+    is dropped before the ranks."""
     if e.window is not None:
         raise ValueError("need a complete module (all weight spaces known)")
     if lam is None or not any(lam):
-        f = e
+        cx = ce_cochain(e)
     else:
-        f = bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(e.m, lam)))
-    return ce_cochain(f).cohomology_dims()
+        cx = ce_cochain(bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(e.m, lam))))
+    return cx.cohomology_dims()
 
 
 def full_decomposition(e):

@@ -22,13 +22,14 @@ the non-pivot labels, and the same representatives, that eliminating
 delta_subspace() gives: the inclusion term x ^ omega of each spanning
 vector has the most g factors, so it leads in the order of _blocks.
 
-The lowering matrices are read off per-factor tables, not off the
-labels.  f_i acts as a derivation on S(u) (x) wedge(g) (x) wedge(n), so
-its image on a kept label (mono, gset, nset) is the sum of its images on
-the three factors.  Only one term can leave the kept labels: e_i in the
-g-set goes to -h_i, and substituting -y_{h_i} for it puts one factor
-more into the monomial and into the n-set.  _FactorTables interns each
-factor of sl_m as a small int and memoises these images per factor id,
+The root matrices are read off per-factor tables, not off the labels.
+f_(a,b) = E_ba acts as a derivation on S(u) (x) wedge(g) (x) wedge(n),
+so its image on a kept label (mono, gset, nset) is the sum of its
+images on the three factors.  Only a g-set term can leave the kept
+labels, when the bracket lands in b (on h's for e_ab itself, or on an
+n label), and substituting -y_x for that x puts one factor more into
+the monomial and into the n-set.  _FactorTables interns each factor of
+sl_m as a small int and memoises these images per root and factor id,
 so VkComponent keys each weight's index by id triples, and its build
 neither acts on nor substitutes in a nested label; bmodule._build
 assembles the matrices, as for every other module.  project() still
@@ -301,15 +302,15 @@ class _Memo(dict):
 
 class _FactorTables:
     """The factors of the kept labels of sl_m, interned as small ints,
-    with their images under each f_i memoised per factor id.
+    with their images under each f_(a,b) memoised per factor id.
 
     Factor kind 0 is the monomial in S(u), 1 the g-set (kept, so inside
-    u) and 2 the n-set.  images[i][kind][id] is f_i on one factor; a
-    g-set term that lands in b (e_i -> -h_i) carries its x, and
-    raises[kind, x][id] gives what substituting -y_x does to the
-    monomial and to the n-set.  Both are _Memo dicts, so a read computes
-    only on a miss.  One table per m: the interned labels are shared by
-    all (k, r), but ad(x) depends on m.
+    u) and 2 the n-set.  images[root][kind][id] is f_root on one factor,
+    for each positive root; a g-set term that lands in b (an h_i or an
+    n label) carries its x, and raises[kind, x][id] gives what
+    substituting -y_x does to the monomial and to the n-set.  Both are
+    _Memo dicts, so a read computes only on a miss.  One table per m:
+    the interned labels are shared by all (k, r), but ad(x) depends on m.
     """
 
     def __init__(self, m):
@@ -317,8 +318,8 @@ class _FactorTables:
         self.ids = ({}, {}, {})        # factor -> id, per kind
         self.factors = ([], [], [])    # id -> factor, per kind
         self._bases = {}               # (name, degree) -> weight -> (factors, ids)
-        self.images = {i: tuple(_Memo(partial(self._image, i, kind)) for kind in range(3))
-                       for i in range(1, m)}
+        self.images = {root: tuple(_Memo(partial(self._image, root, kind)) for kind in range(3))
+                       for root in rootdata.positive_roots(m)}
         self.raises = _Memo(lambda kind_x: _Memo(partial(self._raises, *kind_x)))
 
     def _intern(self, kind, factor):
@@ -344,22 +345,22 @@ class _FactorTables:
         None, so the triple is in no index."""
         return tuple(self.ids[kind].get(f) for kind, f in enumerate(label))
 
-    def _image(self, i, kind, fid):
-        """f_i on factor fid: (id, coeff) pairs, except that a g-set term
+    def _image(self, root, kind, fid):
+        """f_root on factor fid: (id, coeff) pairs, except that a g-set term
         whose new factor lies in b is (rest id, coeff, x) with the sign
         of substituting -y_x for x already in coeff."""
         m, f = self.m, self.factors[kind][fid]
         if kind == 0:
             out = {}
             for t, ul in enumerate(f):
-                for ul2, c in bmodule.lie_action(m, i, "u")[ul].items():
+                for ul2, c in bmodule.lie_action(m, root, "u")[ul].items():
                     j = self._intern(0, tuple(sorted(f[:t] + (ul2,) + f[t + 1:])))
                     out[j] = out.get(j, 0) + c
             return [(j, c) for j, c in out.items() if c]
         out = []
         for t, x in enumerate(f):
             rest = f[:t] + f[t + 1:]
-            for x2, c in bmodule.lie_action(m, i, "g" if kind == 1 else "n")[x].items():
+            for x2, c in bmodule.lie_action(m, root, "g" if kind == 1 else "n")[x].items():
                 new, pos = _insert_sorted(rest, x2)
                 if new is None:
                     continue
@@ -401,15 +402,15 @@ class _FactorTables:
             keys += itertools.product(uids, gids, nids)
         return out
 
-    def lowering(self, i, keys, target_index):
-        """Columns col -> {row: coeff} of f_i from the kept labels keys
-        to the weight whose id-triple index is target_index, in the order
-        that acting on each ambient label and projecting gives; no zero
-        and no empty column."""
+    def lowering(self, root, index, target_index):
+        """Columns col -> {row: coeff} of f_root from the weight whose
+        id-triple index is index (keyed in column order) to the one
+        whose index is target_index, in the order that acting on each
+        ambient label and projecting gives; no zero and no empty column."""
         cols = {}
-        monos_f, gsets_f, nsets_f = self.images[i]
+        monos_f, gsets_f, nsets_f = self.images[root]
         raises = self.raises
-        for col, (mid, gid, nid) in enumerate(keys):
+        for col, (mid, gid, nid) in enumerate(index):
             out = {}
             for mid2, c in monos_f[mid]:
                 q = target_index[(mid2, gid, nid)]
@@ -445,23 +446,25 @@ class VkComponent:
 
     The kept labels are enumerated directly, in the order of _blocks,
     and each weight that has any keeps an index keyed by their id
-    triples in the m's _FactorTables.  Each lowering matrix, built by
-    bmodule._build, sums the memoised images of the three factors of
-    each label, so its entries, and their order, are those of acting on
-    each label and projecting it.
+    triples in the m's _FactorTables.  Each root matrix sums the
+    memoised images of the three factors of each label, so its entries,
+    and their order, are those of acting on each label and projecting
+    it.  The module's action captures the index, not self, so the
+    module is in no reference cycle.
     """
 
     def __init__(self, m, k, r, window=None):
         self.m, self.k, self.r = m, k, r
         tables = self._tables = _factor_tables(m)
         bases = tables.kept_bases(k, r, window)
-        self._index, spaces, keys = {}, {}, {}
+        index, spaces = {}, {}
         for mu in set(bases) if window is None else set(window):
             if mu in bases:
-                spaces[mu], keys[mu] = bases[mu]
-                self._index[mu] = {key: j for j, key in enumerate(keys[mu])}
+                spaces[mu], keys = bases[mu]
+                index[mu] = {key: j for j, key in enumerate(keys)}
+        self._index = index
         self.module = bmodule._build(
-            m, spaces, lambda i, mu, target: tables.lowering(i, keys[mu], self._index[target]),
+            m, spaces, lambda root, mu, target: tables.lowering(root, index[mu], index[target]),
             "V_%d^{-%d}" % (k, 2 * r), window)
 
     def project(self, mu, label_vec):

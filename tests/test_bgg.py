@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -301,14 +302,19 @@ def test_invalid_entry_rejected():
 
 
 def test_unknown_method_is_refused_before_building(monkeypatch):
-    # a method other than "bgg" or "ce", even "CE", must not fall through to a route
+    # a method other than "bgg" or "ce", even "CE", must not fall through
+    # to a route, nor start a pool whose workers each fail their entry
     def build(*args, **kwargs):
         raise AssertionError("a component was built")
 
+    def pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
     monkeypatch.setattr(springer, "build_vk_component", build)
-    for method in ("CE", "resolution"):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    for jobs, method in itertools.product((1, 2), ("CE", "resolution")):
         with pytest.raises(ValueError, match="unknown method %r" % method):
-            hodge_diamond(3, method=method)
+            hodge_diamond(3, jobs=jobs, method=method)
 
 
 def test_parallel_diamond_matches_serial():

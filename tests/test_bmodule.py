@@ -16,7 +16,7 @@ from springercenter.bmodule import (
     sym, direct_sum, dual, check_serre, serre_relations, BModule,
     MissingWeightSpace, SerreRelationFails,
 )
-from springercenter.exactla import SparseMatrix
+from springercenter.exactla import SparseMatrix, product_sum
 import springercenter
 
 from helpers import character, weights
@@ -122,20 +122,29 @@ def test_root_lowering_matches_bracket_on_adjoint():
     assert columns == {3: 15, 4: 48}
 
 
-@pytest.mark.parametrize("build", [lambda: tensor(sub_n(3), quotient_u(3)),
-                                   lambda: springer.build_vk_component(4, 4, 2).module],
-                         ids=["n(x)u_sl3", "V4^-4_sl4"])
-def test_root_lowering_with_a_shared_memo_matches_fresh_calls(build):
+@pytest.mark.parametrize("build", [lambda: tensor(sub_n(4), quotient_u(4)),
+                                   lambda: dual(adjoint_g(4)),
+                                   lambda: irreducible_module(4, (1, 0, 1)),
+                                   lambda: springer.build_vk_component(4, 4, 2).module,
+                                   lambda: springer.build_vk_component(4, 6, 4).module],
+                         ids=["n(x)u_sl4", "dual_g4", "L101", "V4^-4_sl4", "V6^-8_sl4"])
+def test_root_lowering_is_the_commutator_of_shorter_roots(build):
+    # the reference for each module's own action of f_(a,b) = E_ba is the
+    # recursion f_(a,b) = [f_b, f_(a,b-1)], formed as one product_sum
     mod = build()
-    memo = {}
-    for a, b in rootdata.positive_roots(mod.m):
+    m, checked = mod.m, 0
+    for a, b in rootdata.positive_roots(m):
+        if b == a + 1:
+            continue
         for mu in weights(mod):
-            shared = mod.root_lower_matrix((a, b), mu, memo)
-            assert shared == mod.root_lower_matrix((a, b), mu)
-            if b > a + 1:
-                assert memo[((a, b), mu)] is shared
-    # simple roots read the stored lowering matrices and are not memoised
-    assert memo and all(b > a + 1 for (a, b), _ in memo)
+            mid1 = rootdata.sub(mu, rootdata.root_weight(m, a, b - 1))
+            mid2 = rootdata.sub(mu, rootdata.simple_root(m, b))
+            want = product_sum([
+                (1, mod.lower_matrix(b, mid1), mod.root_lower_matrix((a, b - 1), mu)),
+                (-1, mod.root_lower_matrix((a, b - 1), mid2), mod.lower_matrix(b, mu))])
+            assert mod.root_lower_matrix((a, b), mu) == want
+            checked += bool(want.cols)
+    assert checked
 
 
 def test_natural_module_lowering_chain():
@@ -242,14 +251,15 @@ def test_irreducible_adjoint_matches_adjoint_character():
 
 
 def test_action_landing_at_the_wrong_weight_raises():
-    # f_1 sends v_0 to v_1 on the natural module; v_2 has another weight
+    # f_(0,1) sends v_0 to v_1 on the natural module; v_2 has another weight
     nat = natural_module(3)
     labeled = [(lbl, mu) for mu, lbls in nat.spaces.items() for lbl in lbls]
 
-    def act(i, lbl):
-        return {("v", 2): 1} if (i, lbl) == (1, ("v", 0)) else {}
+    def act(root, lbl):
+        return {("v", 2): 1} if (root, lbl) == ((0, 1), ("v", 0)) else {}
 
-    with pytest.raises(ValueError, match=r"f_1 sends \('v', 0\) to \('v', 2\), not to weight"):
+    with pytest.raises(ValueError,
+                       match=r"f_\(0, 1\) sends \('v', 0\) to \('v', 2\), not to weight"):
         bmodule._module_from_action(3, labeled, act)
 
 
@@ -317,13 +327,13 @@ def test_check_serre_raises_on_a_doubled_lowering_matrix():
 def _generic_modules():
     n3, u3, g3, n4 = sub_n(3), quotient_u(3), adjoint_g(3), sub_n(4)
     l21 = irreducible_module(3, (2, 1))
-    # f_i halved on the natural module: sym^2 doubles its entries back to
-    # integers, which must be stored as ints
+    # f_i halved on the natural module, so f_(a,b) = E_ba / 2^(b-a): sym^2
+    # doubles the f_i entries back to integers, which must be stored as ints
     nat = natural_module(3)
-    half = BModule(3, nat.spaces, {key: SparseMatrix(mat.nrows, mat.ncols,
-                                                     {rc: Fraction(v, 2) for rc, v
-                                                      in mat.entries.items()})
-                                   for key, mat in nat.lower.items()})
+    half = bmodule._module_from_action(
+        3, [(lbl, mu) for mu, lbls in nat.spaces.items() for lbl in lbls],
+        lambda root, lbl: ({("v", root[1]): Fraction(1, 2 ** (root[1] - root[0]))}
+                           if lbl[1] == root[0] else {}))
     return [sym(half, 2), tensor(half, dual(half)), wedge(half, 2),
             tensor(n3, u3), tensor(l21, wedge(natural_module(3), 2)),
             wedge(g3, 2), wedge(n4, 3), wedge(tensor(n3, u3), 2),
@@ -348,3 +358,22 @@ def test_generic_module_matrices_are_pinned():
                     seen.append((i, mu, mat.nrows, mat.ncols, sorted(mat.entries.items())))
     assert (hashlib.sha256(repr(seen).encode()).hexdigest()
             == "50ec75cc0bf3a60b8a37d3f24c045c5f2b381f7f7d2bafc08a3e553c5ba98cde")
+
+
+def test_non_simple_root_matrices_are_pinned():
+    # root, weight, shape and the sorted entries, with their int or
+    # Fraction type, of every non-simple f_(a,b) = E_ba on the generic
+    # modules and on the six V_k^{-2r} of the ce-sl4 benchmark
+    mods = _generic_modules() + [springer.build_vk_component(4, k, r).module for k, r
+                                 in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 4), (6, 4)]]
+    seen = []
+    for mod in mods:
+        for mu in sorted(mod.spaces):
+            for a, b in rootdata.positive_roots(mod.m):
+                tgt = rootdata.sub(mu, rootdata.root_weight(mod.m, a, b))
+                if b > a + 1 and tgt in mod.spaces:
+                    mat = mod.root_lower_matrix((a, b), mu)
+                    seen.append(((a, b), mu, mat.nrows, mat.ncols, sorted(mat.entries.items())))
+    assert len(seen) == 969
+    assert (hashlib.sha256(repr(seen).encode()).hexdigest()
+            == "e2ba79332bfa44201b9cf95c780a3b60e135113075c474409c724b01b4e24103")

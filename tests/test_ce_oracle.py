@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import pytest
 
@@ -59,32 +60,32 @@ def test_ce_complexes_are_pinned(monkeypatch):
 
 
 def test_each_root_matrix_is_formed_once_per_call(monkeypatch):
-    # with the per-call memo, root_lower_matrix forms every non-simple
-    # (root, weight) key it reaches by exactly one two-term product_sum,
-    # and forms no other product (matmul goes through product_sum too)
+    # ce_cochain asks the module for each (root, weight) once, and the
+    # module forms it from its own action: no product runs inside
+    # root_lower_matrix (matmul goes through product_sum too)
     mod = springer.build_vk_component(4, 4, 2).module
-    depth, sums, keys = [0], [], set()
+    inside, asked, sums = [False], [], []
     plain_root, plain_sum = BModule.root_lower_matrix, exactla.product_sum
 
-    def root_spy(self, root, mu, *memo):
-        if root[1] > root[0] + 1:
-            keys.add((root, mu))
-        depth[0] += 1
+    def root_spy(self, root, mu):
+        asked.append((root, mu))
+        inside[0] = True
         try:
-            return plain_root(self, root, mu, *memo)
+            return plain_root(self, root, mu)
         finally:
-            depth[0] -= 1
+            inside[0] = False
 
     def sum_spy(terms):
-        if depth[0] > 0:
+        if inside[0]:
             sums.append(len(terms))
         return plain_sum(terms)
 
     monkeypatch.setattr(BModule, "root_lower_matrix", root_spy)
     monkeypatch.setattr(exactla, "product_sum", sum_spy)
-    monkeypatch.setattr(bmodule, "product_sum", sum_spy)
     assert ce_cohomology(mod) == [1, 5, 7, 0, 0, 0, 0]
-    assert keys and sums == [2] * len(keys)
+    assert len(asked) == len(set(asked))
+    assert any(b > a + 1 for (a, b), _ in asked)
+    assert sums == []
 
 
 def test_cleared_images_of_every_sl4_ce_complex_span_as_in_a_full_sweep():
@@ -120,3 +121,24 @@ def test_windowed_module_is_refused():
     mod = springer.build_vk_component(3, 2, 1, window=bgg.cochain_window(3)).module
     with pytest.raises(ValueError, match="need a complete module"):
         ce_cohomology(mod)
+
+
+def test_nonzero_weight_tensor_is_dropped_before_ranking(monkeypatch):
+    # the tensor built for lam keeps its factors' relabelled columns in
+    # its action, so it must be freed before the ranks
+    built, alive = [], []
+    plain_tensor, ranks = bmodule.tensor, CochainComplex.cohomology_dims
+
+    def tensor_spy(a, b):
+        mod = plain_tensor(a, b)
+        built.append(weakref.ref(mod))
+        return mod
+
+    def ranks_spy(cx):
+        alive.append(built[-1]() is not None)
+        return ranks(cx)
+
+    monkeypatch.setattr(bmodule, "tensor", tensor_spy)
+    monkeypatch.setattr(CochainComplex, "cohomology_dims", ranks_spy)
+    assert ce_cohomology(quotient_u(3), (1, 1)) == [1, 0, 0, 0]
+    assert alive == [False]

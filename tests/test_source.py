@@ -72,7 +72,8 @@ def test_benchmark_tracer_counts_a_traced_run():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     for name in ("coinvariants.dc_entry.calls", "coinvariants.slice_cols",
-                 "bgg.hodge_entry.calls", "ce_oracle.ce_cohomology.calls"):
+                 "bgg.hodge_entry.calls", "ce_oracle.ce_cohomology.calls",
+                 "bmodule.root_lower_matrix.calls"):
         assert name in proc.stdout, proc.stdout
 
 

@@ -249,10 +249,10 @@ def test_witness_that_is_not_a_line_raises(monkeypatch):
         trivial_summand_witness(3)
 
 
-def _ambient_act(m, i, label):
-    """f_i applied to an ambient basis element, one label at a time; dict
-    label -> coeff.  The per-label reference for VkComponent's factor
-    tables."""
+def _ambient_act(m, root, label):
+    """f_root applied to an ambient basis element, one label at a time;
+    dict label -> coeff.  The per-label reference for VkComponent's
+    factor tables."""
     mono, gset, nset = label
     out = {}
 
@@ -260,11 +260,11 @@ def _ambient_act(m, i, label):
         if c:
             out[lbl] = out.get(lbl, 0) + c
 
-    au = bmodule.lie_action(m, i, "u")
+    au = bmodule.lie_action(m, root, "u")
     for t, ul in enumerate(mono):
         for ul2, c in au[ul].items():
             accum((tuple(sorted(mono[:t] + (ul2,) + mono[t + 1:])), gset, nset), c)
-    ag = bmodule.lie_action(m, i, "g")
+    ag = bmodule.lie_action(m, root, "g")
     for t, gl in enumerate(gset):
         for gl2, c in ag[gl].items():
             rest = gset[:t] + gset[t + 1:]
@@ -273,7 +273,7 @@ def _ambient_act(m, i, label):
                 continue
             sign = (-1) ** (pos - t) if pos > t else (-1) ** (t - pos)
             accum((mono, new, nset), c * sign)
-    an = bmodule.lie_action(m, i, "n")
+    an = bmodule.lie_action(m, root, "n")
     for t, nl in enumerate(nset):
         for nl2, c in an[nl].items():
             rest = nset[:t] + nset[t + 1:]
@@ -311,7 +311,7 @@ def _eliminated_component(m, k, r, window):
             idx = {lbl: j for j, lbl in enumerate(bases.get(target, []))}
             ent = {}
             for col, lbl in enumerate(lbls):
-                img = _ambient_act(m, i, lbl)
+                img = _ambient_act(m, (i - 1, i), lbl)
                 if not img:
                     continue
                 red, kept_col = quots[target]
@@ -361,7 +361,8 @@ def _lowering_snapshot(comp):
 
 def test_factor_tables_match_acting_on_each_label_at_sl5():
     # the memoised per-factor images against acting on each kept label
-    # and projecting, on the windowed sl5 component (4,2)
+    # and projecting, on the windowed sl5 component (4,2): the stored f_i
+    # in insertion order, and every non-simple root the module forms
     m, k, r = 5, 4, 2
     window = bgg.cochain_window(m)
     comp = build_vk_component(m, k, r, window=window)
@@ -372,19 +373,23 @@ def test_factor_tables_match_acting_on_each_label_at_sl5():
             spaces[mu] = kept
     assert comp.module.spaces == spaces
     assert list(comp.module.spaces) == list(spaces)
-    lower = {}
+    lower, formed = {}, 0
     for mu, lbls in spaces.items():
-        for i in range(1, m):
-            target = rootdata.sub(mu, rootdata.simple_root(m, i))
+        for a, b in rootdata.positive_roots(m):
+            target = rootdata.sub(mu, rootdata.root_weight(m, a, b))
             if target not in window:
                 continue
             ent = {}
             for col, lbl in enumerate(lbls):
-                for q, v in comp.project(target, _ambient_act(m, i, lbl)).items():
+                for q, v in comp.project(target, _ambient_act(m, (a, b), lbl)).items():
                     ent[(q, col)] = v
-            if ent:
-                lower[(i, mu)] = (len(spaces[target]), len(lbls), list(ent.items()))
+            if b > a + 1:
+                assert comp.module.root_lower_matrix((a, b), mu).entries == ent
+                formed += bool(ent)
+            elif ent:
+                lower[(b, mu)] = (len(spaces[target]), len(lbls), list(ent.items()))
     assert _lowering_snapshot(comp) == lower
+    assert formed
     assert comp.module.dim == 13954
 
 
