@@ -296,8 +296,11 @@ def multiplicity(e):
     """Multiplicity profile of L_0 in the sheaf cohomology of e, one
     entry per cohomological degree, from the whole resolution complex.
     The resolution is generated only for the zero weight; a nonzero lam
-    runs on the Lie algebra cohomology route, ce_oracle.ce_cohomology."""
-    return bgg_cochain(e).cohomology_dims()
+    runs on the Lie algebra cohomology route, ce_oracle.ce_cohomology.
+    e is dropped before the ranks, so a temporary is freed there."""
+    cx = bgg_cochain(e)
+    del e
+    return cx.cohomology_dims()
 
 
 def diamond_entries(m):

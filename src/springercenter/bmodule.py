@@ -1,11 +1,11 @@
 """Weight-graded modules over the Borel of sl_m.
 
-A BModule stores a basis split into weight spaces together with the
-matrices of the simple lowering operators f_i = E_{i+1,i}, and the
-action it was built from, which gives every negative root vector
-f_(a,b) = E_ba.  That is all the structure the resolution complexes and
-the Lie algebra cohomology computations need: the Borel action is
-generated by the f_i (the torus part is the grading itself).
+A BModule is a basis split into weight spaces together with its
+action, which gives every negative root vector f_(a,b) = E_ba as a
+matrix between two weight spaces.  That is all the structure the
+resolution complexes and the Lie algebra cohomology computations need:
+the Borel action is generated by the f_i = E_{i+1,i} (the torus part is
+the grading itself).
 
 Modules built by the constructors here are "complete" (window None): a
 weight absent from the table genuinely has a zero weight space.  The
@@ -14,20 +14,20 @@ of weights, in which case asking for the dimension, the labels or a
 matrix at a weight outside the window raises MissingWeightSpace instead
 of silently returning zero.
 
-Every module here and in springer.py is built by one builder, _build,
-from its action on each positive root.  tensor, wedge, sym and
-direct_sum label the basis vectors of their factors by (weight, index)
-pairs, which sort as the factors' weight spaces do, and read f_(a,b)
-off the factors' columns.
+Every module here and in springer.py is constructed from its weight
+spaces and its action on each positive root, and forms no matrix until
+one is read.  tensor, wedge, sym and direct_sum label the basis vectors
+of their factors by (weight, index) pairs, which sort as the factors'
+weight spaces do, and read f_(a,b) off the factors' columns.
 
 A word in the f_i acts through word_matrices, which forms the product
 of the lowering matrices along every prefix of the words it is given;
 serre_relations lists the relations those products must satisfy.  A
-negative root vector acts through root_lower_matrix, which reads a
-simple root off the stored table and forms any other from the module's
-action, with no product.  Neither keeps a cache: word_matrices memoises
-within one call, and a caller that reads a root matrix more than once
-keeps it itself, so nothing outlives the computation that asked.
+negative root vector acts through root_lower_matrix, which forms it
+from the module's action, with no product.  The module keeps each f_i
+it forms, so the action runs at most once per (i, weight); a non-simple
+root is formed on each call, and a caller that reads one more than once
+keeps it itself.
 """
 
 import itertools
@@ -42,7 +42,7 @@ class MissingWeightSpace(Exception):
 
 
 class SerreRelationFails(Exception):
-    """The stored lowering matrices break a Serre relation."""
+    """The lowering matrices of a module break a Serre relation."""
 
 
 def _diag_to_h(diag):
@@ -99,16 +99,18 @@ def gl_label_weight(m, lbl):
 
 
 class BModule:
-    def __init__(self, m, spaces, lower, name="", window=None, columns=None):
-        """window: the weights a windowed module has materialized, some
-        possibly as zero spaces; None for a complete module.  columns:
-        the action, as _build takes it, for root_lower_matrix."""
+    def __init__(self, m, spaces, columns, name="", window=None):
+        """columns(root, mu, target): f_(a,b) = E_ba for the positive root
+        (a, b), from mu to target = mu - (eps_a - eps_b), as the columns
+        SparseMatrix.from_cols takes; called only when both spaces have
+        labels.  window: the weights a windowed module has materialized,
+        some possibly as zero spaces; None for a complete module."""
         self.m = m
         self.name = name
         self.window = None if window is None else frozenset(window)
         self.spaces = {mu: list(lbls) for mu, lbls in spaces.items() if lbls}
-        self.lower = lower
         self.columns = columns
+        self._formed = {}
 
     @property
     def dim(self):
@@ -128,14 +130,19 @@ class BModule:
             raise MissingWeightSpace("weight %r not materialized in %s" % (mu, self.name))
 
     def lower_matrix(self, i, mu):
-        """Matrix of f_i from the mu weight space to the mu - alpha_i one."""
-        target = rootdata.sub(mu, rootdata.simple_root(self.m, i))
-        self.require(mu)
-        self.require(target)
-        key = (i, mu)
-        if key in self.lower:
-            return self.lower[key]
-        return SparseMatrix(self.weight_dim(target), self.weight_dim(mu))
+        """Matrix of f_i from the mu weight space to the mu - alpha_i one,
+        formed from the action on its first read and kept."""
+        mat = self._formed.get((i, mu))
+        if mat is None:
+            mat = self._formed[i, mu] = self._form((i - 1, i), mu)
+        return mat
+
+    def _form(self, root, mu):
+        target = rootdata.sub(mu, rootdata.root_weight(self.m, *root))
+        ncols, nrows = self.weight_dim(mu), self.weight_dim(target)
+        if not (nrows and ncols):
+            return SparseMatrix(nrows, ncols)
+        return SparseMatrix.from_cols(nrows, ncols, self.columns(root, mu, target))
 
     def apply_lower(self, i, mu, vec):
         target = rootdata.sub(mu, rootdata.simple_root(self.m, i))
@@ -182,36 +189,13 @@ class BModule:
     def root_lower_matrix(self, root, mu):
         """Matrix of the negative root vector f_(a,b) = E_ba, for the
         0-indexed positive root (a, b), from the mu weight space to the
-        mu - (eps_a - eps_b) one.  A simple root reads the stored f_i;
-        any other is formed on each call as one matrix of the module's
-        own columns, with no product and no cache."""
+        mu - (eps_a - eps_b) one.  A simple root is lower_matrix's kept
+        f_i; any other is formed on each call as one matrix of the
+        module's own columns, with no product and no cache."""
         a, b = root
         if b == a + 1:
             return self.lower_matrix(b, mu)
-        target = rootdata.sub(mu, rootdata.root_weight(self.m, a, b))
-        nrows, ncols = self.weight_dim(target), self.weight_dim(mu)
-        if not (nrows and ncols):
-            return SparseMatrix(nrows, ncols)
-        return SparseMatrix.from_cols(nrows, ncols, self.columns(root, mu, target))
-
-
-def _build(m, spaces, columns, name, window=None):
-    """The BModule on spaces (weight -> labels) whose f_(a,b) = E_ba
-    sends mu to target = mu - (eps_a - eps_b) by the columns
-    columns((a, b), mu, target), a dict col -> {row: coeff} as
-    SparseMatrix.from_cols takes it.  This is the one loop that builds
-    lowering tables: it stores f_i = f_(i-1,i), and the module keeps
-    columns for the other roots; a target without labels is skipped."""
-    lower = {}
-    for mu, lbls in spaces.items():
-        for i in range(1, m):
-            target = rootdata.sub(mu, rootdata.simple_root(m, i))
-            if not spaces.get(target):
-                continue
-            cols = columns((i - 1, i), mu, target)
-            if cols:
-                lower[(i, mu)] = SparseMatrix.from_cols(len(spaces[target]), len(lbls), cols)
-    return BModule(m, spaces, lower, name=name, window=window, columns=columns)
+        return self._form(root, mu)
 
 
 def _module_from_action(m, labeled, act, name=""):
@@ -241,7 +225,7 @@ def _module_from_action(m, labeled, act, name=""):
                 cols[c] = col
         return cols
 
-    return _build(m, spaces, columns, name)
+    return BModule(m, spaces, columns, name)
 
 
 def lie_labels(m, name):
@@ -410,7 +394,7 @@ def dual(a):
                 cols.setdefault(r, {})[c] = -v
         return cols
 
-    return _build(a.m, spaces, columns, "dual(%s)" % a.name)
+    return BModule(a.m, spaces, columns, "dual(%s)" % a.name)
 
 
 def natural_module(m):
@@ -472,7 +456,7 @@ def irreducible_module(m, lam):
                 cols[c] = {r: canonical(v) for r, v in col.items()}
         return cols
 
-    mod = _build(m, spaces, columns, "L%r" % (lam,))
+    mod = BModule(m, spaces, columns, "L%r" % (lam,))
     if mod.dim != rootdata.weyl_dim(lam):
         raise ValueError("L%r has dimension %d, not the Weyl dimension %d"
                          % (lam, mod.dim, rootdata.weyl_dim(lam)))
@@ -491,7 +475,7 @@ def serre_relations(m):
 
 
 def check_serre(mod):
-    """Verify the Serre relations for the stored lowering matrices.
+    """Verify the Serre relations for the module's lowering matrices.
 
     Returns the number of (weight space, relation) pairs checked; raises
     SerreRelationFails on failure.

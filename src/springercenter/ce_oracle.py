@@ -90,14 +90,15 @@ def ce_cochain(f):
 def ce_cohomology(e, lam=None):
     """Multiplicity profile of L_lam in the sheaf cohomology of e, via
     weight-zero Lie algebra cohomology.  e must be a complete module.
-    A tensor built for lam holds its factors' relabelled columns, so it
-    is dropped before the ranks."""
+    e, and a tensor built for lam, which holds its factors' relabelled
+    columns, are dropped before the ranks."""
     if e.window is not None:
         raise ValueError("need a complete module (all weight spaces known)")
     if lam is None or not any(lam):
         cx = ce_cochain(e)
     else:
         cx = ce_cochain(bmodule.tensor(e, bmodule.dual(bmodule.irreducible_module(e.m, lam))))
+    del e
     return cx.cohomology_dims()
 
 

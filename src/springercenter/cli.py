@@ -319,9 +319,21 @@ def _render_diamond(m, diamond, fmt, out):
 
 # ----------------------------------------------------------------- subcommands
 
+def _cached(args, payload, valid, compute):
+    """compute(), through the result cache under payload unless
+    --no-cache is given; a cached result failing valid() is recomputed."""
+    result = None if args.no_cache else cache_get(payload, valid)
+    if result is not None:
+        log.info("cache hit for m=%d via %s", args.m, payload["method"])
+        return result
+    result = compute()
+    if not args.no_cache:
+        cache_put(payload, result)
+    return result
+
+
 def _diamond(args, method):
-    """The diamond of args.m on one route, read from and written to the
-    result cache unless --no-cache is given."""
+    """The diamond of args.m on one route, through the result cache."""
     payload = {"cmd": "diamond", "m": args.m, "method": method,
                "version": __version__}
     keys = {"%d,%d" % e for e in bgg.diamond_entries(args.m)}
@@ -331,17 +343,15 @@ def _diamond(args, method):
         return (isinstance(res, dict) and set(res) == keys
                 and all(type(v) is int for v in res.values()))
 
-    result = None if args.no_cache else cache_get(payload, valid)
-    if result is not None:
-        log.info("cache hit for m=%d via %s", args.m, method)
-        return {tuple(map(int, k.split(","))): v for k, v in result.items()}
-    log.info("computing diamond for m=%d via %s", args.m, method)
-    t0 = time.monotonic()
-    diamond = bgg.hodge_diamond(args.m, jobs=args.jobs, method=method)
-    log.info("diamond for m=%d done in %.1fs", args.m, time.monotonic() - t0)
-    if not args.no_cache:
-        cache_put(payload, {"%d,%d" % k: v for k, v in diamond.items()})
-    return diamond
+    def compute():
+        log.info("computing diamond for m=%d via %s", args.m, method)
+        t0 = time.monotonic()
+        diamond = bgg.hodge_diamond(args.m, jobs=args.jobs, method=method)
+        log.info("diamond for m=%d done in %.1fs", args.m, time.monotonic() - t0)
+        return {"%d,%d" % k: v for k, v in diamond.items()}
+
+    result = _cached(args, payload, valid, compute)
+    return {tuple(map(int, k.split(","))): v for k, v in result.items()}
 
 
 def cmd_diamond(args):
@@ -382,19 +392,15 @@ def cmd_cohomology(args):
                 and isinstance(res.get("profile"), list)
                 and all(type(v) is int for v in res["profile"]))
 
-    result = None if args.no_cache else cache_get(payload, valid)
-    if result is None:
-        mod = build_module(args.m, node)
-        if method == "ce":
-            profile = ce_oracle.ce_cohomology(mod, lam)
-        else:
-            profile = bgg.multiplicity(mod)
-        result = {"m": args.m, "expr": render_expression(node),
-                  "lam": list(lam) if lam else None,
-                  "method": method, "profile": profile,
-                  "tool_version": __version__}
-        if not args.no_cache:
-            cache_put(payload, result)
+    def compute():
+        # a temporary module, so that the route can drop it before its ranks
+        profile = (ce_oracle.ce_cohomology(build_module(args.m, node), lam) if method == "ce"
+                   else bgg.multiplicity(build_module(args.m, node)))
+        return {"m": args.m, "expr": render_expression(node),
+                "lam": list(lam) if lam else None, "method": method,
+                "profile": profile, "tool_version": __version__}
+
+    result = _cached(args, payload, valid, compute)
     if args.format == "json":
         json.dump(result, sys.stdout, indent=2)
         sys.stdout.write("\n")

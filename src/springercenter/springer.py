@@ -30,10 +30,10 @@ labels, when the bracket lands in b (on h's for e_ab itself, or on an
 n label), and substituting -y_x for that x puts one factor more into
 the monomial and into the n-set.  _FactorTables interns each factor of
 sl_m as a small int and memoises these images per root and factor id,
-so VkComponent keys each weight's index by id triples, and its build
-neither acts on nor substitutes in a nested label; bmodule._build
-assembles the matrices, as for every other module.  project() still
-substitutes label by label, for the witness and the tests.
+so VkComponent keys each weight's index by id triples, and its action
+neither acts on nor substitutes in a nested label; the module forms
+each matrix from it on first read.  project() still substitutes label
+by label, for the witness and the tests.
 
 Every label list, ambient or kept, comes from one walker, _blocks, over
 the graded bases of the three factors (_graded), so the kept labels at a
@@ -463,7 +463,7 @@ class VkComponent:
                 spaces[mu], keys = bases[mu]
                 index[mu] = {key: j for j, key in enumerate(keys)}
         self._index = index
-        self.module = bmodule._build(
+        self.module = bmodule.BModule(
             m, spaces, lambda root, mu, target: tables.lowering(root, index[mu], index[target]),
             "V_%d^{-%d}" % (k, 2 * r), window)
 

@@ -1,6 +1,6 @@
 """Views of package objects that only the tests need."""
 
-from springercenter import exactla
+from springercenter import exactla, rootdata
 from springercenter.bmodule import serre_relations
 from springercenter.exactla import RowReducer, SparseMatrix
 
@@ -30,6 +30,30 @@ def weights(mod):
 def character(mod):
     """A BModule's character: weight -> dim of its weight space."""
     return {mu: len(lbls) for mu, lbls in mod.spaces.items()}
+
+
+def every_lowering(mod):
+    """(i, mu) -> the matrix of f_i on the mu weight space, for every
+    nonzero f_i between two weights with labels, read in order: weights
+    as mod.spaces lists them, then i ascending."""
+    out = {}
+    for mu in mod.spaces:
+        for i in range(1, mod.m):
+            if mod.spaces.get(rootdata.sub(mu, rootdata.simple_root(mod.m, i))):
+                mat = mod.lower_matrix(i, mu)
+                if mat.cols:
+                    out[i, mu] = mat
+    return out
+
+
+def columns_from(lower):
+    """An action, as BModule takes it, whose f_i are the matrices of
+    lower, keyed (i, mu); a missing key and every non-simple root act by
+    zero."""
+    def columns(root, mu, target):
+        mat = lower.get((root[1], mu)) if root[1] == root[0] + 1 else None
+        return {} if mat is None else mat.cols
+    return columns
 
 
 class SerreQuotient:

@@ -252,6 +252,36 @@ def test_profile_degree_drops_the_module_before_ranking(monkeypatch):
     assert alive == [False]
 
 
+def test_windowed_component_forms_only_the_lowerings_its_words_read():
+    # bgg_cochain reads f_i at each weight that a prefix of an arrow's
+    # word passes through, from the source nodes of layers lo..hi-1; the
+    # component forms those f_i whose two weight spaces have labels and
+    # no other, fewer than every f_i between its labelled weights
+    m, lo, hi = 4, 1, 3
+    data = bgg_data(m)
+    mod = springer.build_vk_component(m, *bgg.entry_component(m, 2, 6),
+                                      window=cochain_window(m, lo, hi)).module
+    formed, act = [], mod.columns
+
+    def columns(root, mu, target):
+        formed.append((root[1], mu))
+        return act(root, mu, target)
+
+    mod.columns = columns
+    bgg_cochain(mod, lo, hi)
+    read = set()
+    for (w, _), terms in data.arrows.items():
+        if lo <= len(w) < hi:
+            for _, word in terms:
+                read.update(zip(word, rootdata.lowering_path(m, data.weight[w], word)))
+    want = {(i, mu) for i, mu in read if mod.spaces.get(mu)
+            and mod.spaces.get(rootdata.sub(mu, rootdata.simple_root(m, i)))}
+    assert sorted(formed) == sorted(want)
+    labelled = sum(1 for mu in mod.spaces for i in range(1, m)
+                   if mod.spaces.get(rootdata.sub(mu, rootdata.simple_root(m, i))))
+    assert len(want) < labelled
+
+
 def test_trivial_multiplicity_profiles():
     # cohomology of the structure sheaf: one class in degree 0 only
     assert multiplicity(trivial_module(3)) == [1, 0, 0, 0]

@@ -19,7 +19,7 @@ from springercenter.bmodule import (
 from springercenter.exactla import SparseMatrix, product_sum
 import springercenter
 
-from helpers import character, weights
+from helpers import character, columns_from, every_lowering, weights
 
 
 def all_labels(m):
@@ -258,26 +258,65 @@ def test_action_landing_at_the_wrong_weight_raises():
     def act(root, lbl):
         return {("v", 2): 1} if (root, lbl) == ((0, 1), ("v", 0)) else {}
 
+    # the action runs on the first read of a matrix, not at construction
+    mod = bmodule._module_from_action(3, labeled, act)
     with pytest.raises(ValueError,
                        match=r"f_\(0, 1\) sends \('v', 0\) to \('v', 2\), not to weight"):
-        bmodule._module_from_action(3, labeled, act)
+        mod.lower_matrix(1, labeled[0][1])
+
+
+def test_each_lowering_matrix_is_formed_once_on_first_read():
+    # the action runs once per (i, mu) whose two weight spaces have
+    # labels, zero matrices included, however often and by whichever
+    # path the matrix is read; non-simple roots are formed on each call
+    g = adjoint_g(4)
+    want = {((i - 1, i), mu) for mu in g.spaces for i in range(1, 4)
+            if rootdata.sub(mu, rootdata.simple_root(4, i)) in g.spaces}
+    zero, calls = min(want), []
+
+    def columns(root, mu, target):
+        calls.append((root, mu))
+        return {} if (root, mu) == zero else g.columns(root, mu, target)
+
+    mod = BModule(4, g.spaces, columns)
+    assert calls == []
+    for _ in range(2):
+        lowered = every_lowering(mod)
+        for mu in mod.spaces:
+            mod.word_matrices(mu, [(1, 2, 3), (3, 2, 1), (2, 1, 3)])
+        for (a, b), mu in want:
+            assert mod.root_lower_matrix((a, b), mu) is mod.lower_matrix(b, mu)
+    assert sorted(calls) == sorted(want)
+    assert (zero[0][1], zero[1]) not in lowered and len(lowered) == len(want) - 1
+    calls.clear()
+    root = (0, 2)
+    mu = next(mu for mu in mod.spaces
+              if rootdata.sub(mu, rootdata.root_weight(4, *root)) in mod.spaces)
+    for _ in range(2):
+        mod.root_lower_matrix(root, mu)
+    assert calls == [(root, mu)] * 2
 
 
 def test_incomplete_module_raises_outside_window():
     g = adjoint_g(3)
-    windowed = BModule(3, {mu: g.labels(mu) for mu in [(1, 1)]}, {}, window={(1, 1)})
+    windowed = BModule(3, {mu: g.labels(mu) for mu in [(1, 1)]}, columns_from({}),
+                       window={(1, 1)})
     with pytest.raises(MissingWeightSpace):
         windowed.lower_matrix(1, (0, 0))
 
 
 _DOUBLE_ONE_LOWERING = """
-from springercenter.bmodule import adjoint_g
-from springercenter.exactla import SparseMatrix
-mod = adjoint_g(3)
-key = min(mod.lower)
-mat = mod.lower[key]
-mod.lower[key] = SparseMatrix(mat.nrows, mat.ncols,
-                              {rc: 2 * v for rc, v in mat.entries.items()})
+from springercenter.bmodule import BModule, adjoint_g
+g = adjoint_g(3)
+key = min((i, mu) for mu in g.spaces for i in (1, 2) if g.lower_matrix(i, mu).cols)
+
+def columns(root, mu, target):
+    cols = g.columns(root, mu, target)
+    if (root, mu) == ((key[0] - 1, key[0]), key[1]):
+        return {c: {r: 2 * v for r, v in col.items()} for c, col in cols.items()}
+    return cols
+
+mod = BModule(3, g.spaces, columns)
 """
 
 
@@ -296,9 +335,9 @@ def test_check_serre_raises_when_distant_generators_fail_to_commute():
              (3, rootdata.sub(mu, a1)): SparseMatrix(1, 1, {(0, 0): 2})}
     failure = r"Serre relation \(1,3\) fails at weight \(0, 0, 0\)"
     with pytest.raises(SerreRelationFails, match=failure):
-        check_serre(BModule(m, spaces, lower))
+        check_serre(BModule(m, spaces, columns_from(lower)))
     lower[(3, rootdata.sub(mu, a1))] = SparseMatrix(1, 1, {(0, 0): 1})
-    assert check_serre(BModule(m, spaces, lower)) == 4 * len(serre_relations(m))
+    assert check_serre(BModule(m, spaces, columns_from(lower))) == 4 * len(serre_relations(m))
 
 
 def test_check_serre_raises_on_a_doubled_lowering_matrix():

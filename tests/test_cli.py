@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import springercenter
 from springercenter import bgg, cli, springer
+from springercenter.exactla import CochainComplex
 from springercenter.cli import (
     parse_expression, render_expression, build_module, ParseError, main,
 )
@@ -190,6 +192,31 @@ def test_cohomology_ce_method_agrees(tmp_path, monkeypatch, capsys):
     _, a, _ = run(base + ["--method", "bgg"], capsys)
     _, b, _ = run(base + ["--method", "ce"], capsys)
     assert json.loads(a)["profile"] == json.loads(b)["profile"]
+
+
+@pytest.mark.parametrize("method", ["bgg", "ce"])
+def test_cohomology_drops_the_module_before_ranking(method, monkeypatch, capsys):
+    # a generic module keeps its factors alive through its action, so
+    # neither the command nor the route may hold it through the ranks
+    modules, alive = [], []
+    build, ranks = cli.build_module, CochainComplex.cohomology_dims
+
+    def build_spy(m, node):
+        mod = build(m, node)
+        modules.append(weakref.ref(mod))
+        return mod
+
+    def ranks_spy(cx):
+        alive.append(modules[-1]() is not None)
+        return ranks(cx)
+
+    monkeypatch.setattr(cli, "build_module", build_spy)
+    monkeypatch.setattr(CochainComplex, "cohomology_dims", ranks_spy)
+    code, out, _ = run(["cohomology", "--m", "3", "--expr", "wedge^2(n) (x) u",
+                        "--method", method, "--format", "json", "--no-cache"], capsys)
+    assert code == 0
+    assert json.loads(out)["profile"] == [0, 3, 0, 0]
+    assert alive == [False]
 
 
 def test_cohomology_at_nonzero_lam_reports_the_route_it_ran(tmp_path, monkeypatch, capsys):

@@ -73,7 +73,8 @@ def test_benchmark_tracer_counts_a_traced_run():
     assert proc.returncode == 0, proc.stderr
     for name in ("coinvariants.dc_entry.calls", "coinvariants.slice_cols",
                  "bgg.hodge_entry.calls", "ce_oracle.ce_cohomology.calls",
-                 "bmodule.root_lower_matrix.calls"):
+                 "bmodule.root_lower_matrix.calls", "springer.vk_component.calls",
+                 "springer.module_dim_sum"):
         assert name in proc.stdout, proc.stdout
 
 

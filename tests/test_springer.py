@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from springercenter import rootdata, bgg, bmodule, springer
 from springercenter.bmodule import sub_n, check_serre, MissingWeightSpace
 from springercenter.exactla import RowReducer, SparseMatrix
-from helpers import character
+from helpers import character, every_lowering
 from springercenter.springer import (
     duality_partner, ambient_bases, ambient_component, build_vk_component,
     quotient_character, trivial_summand_witness, WitnessNotInvariant,
@@ -92,11 +92,12 @@ def test_windowed_component_matches_complete_on_window():
                 assert set(part.spaces) <= window
                 for mu in window:
                     assert part.spaces.get(mu) == full.spaces.get(mu), (m, k, r, lo, hi, mu)
-                keys = {(i, mu) for (i, mu) in full.lower if mu in window
+                full_lower, part_lower = every_lowering(full), every_lowering(part)
+                keys = {(i, mu) for (i, mu) in full_lower if mu in window
                         and rootdata.sub(mu, rootdata.simple_root(m, i)) in window}
-                assert set(part.lower) == keys, (m, k, r, lo, hi)
+                assert set(part_lower) == keys, (m, k, r, lo, hi)
                 for key in keys:
-                    got, want = part.lower[key], full.lower[key]
+                    got, want = part_lower[key], full_lower[key]
                     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
                     assert list(got.entries.items()) == list(want.entries.items()), key
 
@@ -329,7 +330,7 @@ def _assert_matches_elimination(m, k, r, window=None):
         window = set(ambient_bases(m, k, r))
     spaces, lower = _eliminated_component(m, k, r, window)
     assert comp.module.spaces == spaces, (m, k, r)
-    got = {key: mat.entries for key, mat in comp.module.lower.items()}
+    got = {key: mat.entries for key, mat in every_lowering(comp.module).items()}
     assert got == lower, (m, k, r)
     for mu in window:
         amb = ambient_component(m, k, r, mu)
@@ -356,13 +357,13 @@ def test_substitution_matches_elimination_at_m4():
 def _lowering_snapshot(comp):
     # entries in insertion order, so the order is compared too
     return {key: (mat.nrows, mat.ncols, list(mat.entries.items()))
-            for key, mat in comp.module.lower.items()}
+            for key, mat in every_lowering(comp.module).items()}
 
 
 def test_factor_tables_match_acting_on_each_label_at_sl5():
     # the memoised per-factor images against acting on each kept label
-    # and projecting, on the windowed sl5 component (4,2): the stored f_i
-    # in insertion order, and every non-simple root the module forms
+    # and projecting, on the windowed sl5 component (4,2): every nonzero
+    # f_i in insertion order, and every non-simple root the module forms
     m, k, r = 5, 4, 2
     window = bgg.cochain_window(m)
     comp = build_vk_component(m, k, r, window=window)
@@ -421,9 +422,10 @@ def _order_digest():
                 builds.append((0, None, None))
             for lo, hi, window in builds:
                 mod = build_vk_component(m, k, r, window=window).module
+                lower = [(key, list(mat.entries.items()))
+                         for key, mat in every_lowering(mod).items()]
                 cx = bgg.bgg_cochain(mod, lo, hi)
-                h.update(repr((m, k, r, lo, hi, list(mod.spaces.items()),
-                               [(key, list(mat.entries.items())) for key, mat in mod.lower.items()],
+                h.update(repr((m, k, r, lo, hi, list(mod.spaces.items()), lower,
                                cx.dims, [list(mp.entries.items()) for mp in cx.maps])).encode())
     return h.hexdigest()
 
