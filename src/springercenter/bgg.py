@@ -20,15 +20,21 @@ w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
 weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  Each
 singular vector is written on the standard words of its weight, a basis
 of U(n^-) there with one word per Kostant partition (Lalonde-Ram 1995;
-Bokut-Klein 1996 for type A).  Its coefficients, and the scalars that
-make the two paths through each length-2 interval cancel, are solved in
-PBW coordinates of U(n^-), where each product is straightened by the
-root-vector brackets (de Graaf 2000), with no ideal to eliminate.  Those
-coordinates represent U(n^-) faithfully and kernel_basis normalises
-each line through its RREF, so the solutions do not depend on the
-coordinates.  The data is validated structurally: reduced words, full
-Weyl group coverage, weight homogeneity of every arrow, and d.d == 0 on
-each module it is run over.
+Bokut-Klein 1996 for type A).  Its coefficients are solved in PBW
+coordinates of U(n^-), where each product is straightened by the
+root-vector brackets (de Graaf 2000), with no ideal to eliminate.
+
+The scalars that make the two paths through each length-2 interval
+lo < mid < up cancel are solved on coefficient sums.  The composites of
+those paths are proportional, as Hom(M(up.0), M(lo.0)) is at most a line
+(Humphreys 2008, Thm 4.2).  The algebra map pi: U(n^-) -> Q[x_1..x_{m-1}]
+induced by n^- -> n^-/[n^-, n^-] sends f_i to x_i and every other root
+vector to 0, so an arrow of weight gamma to s x^gamma, s its coefficient
+sum; pi is multiplicative, so when no s is 0 the composites cancel
+exactly when the products of their sums do.  Every s is +-1 for m <= 6,
+signs on the squares as in BGG, and a zero s raises.  The data is
+validated structurally: reduced words, full Weyl group coverage, weight
+homogeneity of every arrow, and d.d == 0 on each module it is run over.
 
 A diamond entry is one degree i of one component's profile, and H^i
 needs only d_{i-1} and d_i.  So each entry builds its component on the
@@ -43,9 +49,9 @@ complex here, or the Lie algebra cohomology complex of ce_oracle.
 
 import logging
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .exactla import block_complex, kernel_basis
+from .exactla import RowReducer, block_complex
 from . import rootdata, springer
 
 log = logging.getLogger(__name__)
@@ -61,12 +67,36 @@ def _accumulate(out, terms, c):
             out.pop(key, None)
 
 
+def _line(rows, ncols):
+    """Coprime integers spanning the right kernel of the integer rows
+    (dicts col -> int) on ncols columns, nonzero entries only, the last
+    positive; None unless the kernel is a line.  The pivots are solved
+    down from the one free column, scaling by a / gcd(s, a) at each."""
+    red = RowReducer()
+    for row in rows:
+        red.add(row)
+    if red.rank != ncols - 1:
+        return None
+    x = {next(c for c in range(ncols - 1, -1, -1) if c not in red.echelon): 1}
+    for p in sorted(red.echelon, reverse=True):
+        row = red.echelon[p]
+        s = sum(v * x.get(c, 0) for c, v in row.items())
+        if s:
+            a, g = row[p], gcd(s, row[p])
+            if g != a:
+                x = {c: v * (a // g) for c, v in x.items()}
+            x[p] = -s // g
+    g = gcd(*x.values())
+    return {c: v // g for c, v in x.items()}
+
+
 class _Enveloping:
     """Weight spaces of U(n^-).  `line` solves its scalars in PBW
     coordinates: root vectors f_(a,b) = E_ba in rootdata.positive_roots(m)
     order, monomials as non-decreasing index tuples.  `singular` writes
     its vector on the standard words in the f_i (Lalonde-Ram 1995), a
-    basis of each weight space keyed by the tuple of letter counts."""
+    basis of each weight space keyed by the tuple of letter counts.  pi
+    (module docstring) sends a singular vector to s x^weight, s = +-1 at m <= 6."""
 
     def __init__(self, m):
         self.m = m
@@ -83,25 +113,26 @@ class _Enveloping:
                 elif c == b:
                     self._bracket[y, x] = (-1, index[a, d])
         self._products, self._words, self._standard = {}, {(): {(): 1}}, {}
+        self._root_words = sorted(((tuple(range(a + 1, b + 1)), a, b) for a, b in roots),
+                                  reverse=True)
 
     def standard_words(self, counts):
         """The standard words of weight `counts`, in lexicographic order:
         for each Kostant partition, the words of its roots f_(a,b) ->
         (a+1, ..., b) concatenated in non-increasing lexicographic order."""
         if counts not in self._standard:
-            roots, out = rootdata.positive_roots(self.m), []
+            out = []
 
-            def walk(t, rest, chosen):
+            def walk(s, rest, word):
                 if not any(rest):
-                    out.append(sum(sorted(chosen, reverse=True), ()))
-                elif t < len(roots):
-                    a, b = roots[t]
-                    while min(rest) >= 0:
-                        walk(t + 1, rest, chosen)
-                        rest = rest[:a] + tuple(n - 1 for n in rest[a:b]) + rest[b:]
-                        chosen = chosen + [tuple(range(a + 1, b + 1))]
+                    out.append(word)
+                    return
+                for t in range(s, len(self._root_words)):
+                    root, a, b = self._root_words[t]
+                    if min(rest[a:b]) > 0:
+                        walk(t, rest[:a] + tuple(n - 1 for n in rest[a:b]) + rest[b:], word + root)
 
-            walk(0, counts, [])
+            walk(0, counts, ())
             self._standard[counts] = sorted(out)
         return self._standard[counts]
 
@@ -140,12 +171,7 @@ class _Enveloping:
                     for mono, v in self.pbw(w).items():
                         row = rows.setdefault((key, mono), {})
                         row[col] = row.get(col, 0) + c * v
-        kernel = kernel_basis(rows.values(), len(columns))
-        if len(kernel) != 1:
-            return None
-        den = lcm(*[v.denominator for v in kernel[0].values()])
-        g = gcd(*[int(v * den) for v in kernel[0].values()])
-        return {c: int(v * den) // g for c, v in kernel[0].items()}
+        return _line(rows.values(), len(columns))
 
     def singular(self, mu, counts):
         """The u of weight `counts` with u v_mu singular in M(mu), on the kept
@@ -170,25 +196,32 @@ def _resolution(m):
     """(shorter, longer) -> [(coeff, product word)] on reduced words, so
     (2, (1, 2)) is 2 f_1 f_2.  The cover w -> t_alpha w drops the weight by
     <w(rho), alpha^vee> alpha.  By length, the arrows into each `up` are
-    scaled so that the two paths from each lo two steps below cancel;
-    both are singular of one weight in M(lo.0), so the scalars form a line."""
+    scaled so that the two paths from each lo two steps below cancel, on
+    coefficient sums (module docstring): one row per lo, one column per
+    mid.  An arrow whose sum is 0 raises ValueError."""
     name = {w.perm: w.reduced_word() for w in rootdata.weyl_group(m)}
     weight = {p: rootdata.WeylElement(p).dot((0,) * (m - 1)) for p in name}
-    env, arrows, into = _Enveloping(m), {}, {}
+    env, arrows, total, into = _Enveloping(m), {}, {}, {}
     for edge in rootdata.bruhat_graph(m):
         lo, up = edge.lower.perm, edge.upper.perm
         (a, b), v = edge.root, rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
         counts = tuple(v[a] - v[b] if a < i <= b else 0 for i in range(1, m))
         arrows[lo, up] = env.singular(weight[lo], counts)
+        total[lo, up] = sum(c for c, _ in arrows[lo, up])
+        if not total[lo, up]:
+            raise ValueError("arrow %r -> %r has coefficient sum 0" % (name[lo], name[up]))
         into.setdefault(up, []).append(lo)
     for up in sorted(into, key=lambda p: len(name[p])):
-        line = env.line([{lo: [(c * d, v + u) for c, u in arrows[lo, mid]
-                               for d, v in arrows[mid, up]]
-                          for lo in into.get(mid, ())} for mid in into[up]])
+        rows = {}
+        for col, mid in enumerate(into[up]):
+            for lo in into.get(mid, ()):
+                rows.setdefault(lo, {})[col] = total[lo, mid] * total[mid, up]
+        line = _line(rows.values(), len(into[up]))
         if line is None or len(line) != len(into[up]):
             raise ValueError("the paths into %r have no cancelling scalars" % (up,))
         for col, mid in enumerate(into[up]):
             arrows[mid, up] = [(line[col] * c, w) for c, w in arrows[mid, up]]
+            total[mid, up] *= line[col]
     return {(name[lo], name[up]): terms for (lo, up), terms in arrows.items()}
 
 
@@ -204,14 +237,8 @@ class BGGData:
                        for pair, terms in resolution.items()}
         max_len = m * (m - 1) // 2
         self.nodes = [[] for _ in range(max_len + 1)]
-        seen = set()
-        for (w, w2) in resolution:
-            for word in (w, w2):
-                if word not in seen:
-                    seen.add(word)
-                    self.nodes[len(word)].append(word)
-        for layer in self.nodes:
-            layer.sort()
+        for word in sorted({word for pair in resolution for word in pair}):
+            self.nodes[len(word)].append(word)
         self._validate()
 
     def _validate(self):
@@ -334,9 +361,10 @@ def profile_degree(m, k, r, i):
     dim = comp.module.dim
     cx = bgg_cochain(comp.module, lo, hi)
     del comp
-    log.info("V_%d^{-%d} degree %d: window %d weights, module dim %d, maps %s",
-             k, 2 * r, i, len(window), dim,
-             ["%dx%d" % (mp.nrows, mp.ncols) for mp in cx.maps])
+    if log.isEnabledFor(logging.INFO):
+        log.info("V_%d^{-%d} degree %d: window %d weights, module dim %d, maps %s",
+                 k, 2 * r, i, len(window), dim,
+                 ["%dx%d" % (mp.nrows, mp.ncols) for mp in cx.maps])
     return cx.cohomology_dims()[i - lo]
 
 

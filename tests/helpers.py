@@ -1,6 +1,8 @@
 """Views of package objects that only the tests need."""
 
-from springercenter import exactla, rootdata
+from math import gcd, lcm
+
+from springercenter import bgg, exactla, rootdata
 from springercenter.bmodule import serre_relations
 from springercenter.exactla import RowReducer, SparseMatrix
 
@@ -90,6 +92,56 @@ class SerreQuotient:
         """The words off the pivots of space(counts), in order."""
         words, red = self.space(counts)
         return [w for c, w in enumerate(words) if c not in red.echelon]
+
+
+def kernel_line(rows, ncols):
+    """The right kernel of the integer rows (dicts col -> value) on ncols
+    columns as coprime integers, read off kernel_basis's RREF vector, or
+    None unless the kernel is a line: the reference for bgg._line."""
+    kernel = exactla.kernel_basis(rows, ncols)
+    if len(kernel) != 1:
+        return None
+    den = lcm(*[v.denominator for v in kernel[0].values()])
+    g = gcd(*[int(v * den) for v in kernel[0].values()])
+    return {c: int(v * den) // g for c, v in kernel[0].items()}
+
+
+def pbw_sum(env, terms):
+    """The sum of c times each product word of terms, in the PBW
+    coordinates of the bgg._Enveloping env."""
+    out = {}
+    for c, word in terms:
+        bgg._accumulate(out, env.pbw(word), c)
+    return out
+
+
+def composite_resolution(m):
+    """bgg._resolution with each cancellation system solved on the
+    composites of the two-step paths expanded in PBW coordinates, one
+    row per (lo, monomial), through kernel_line: the reference for the
+    coefficient-sum systems."""
+    name = {w.perm: w.reduced_word() for w in rootdata.weyl_group(m)}
+    weight = {p: rootdata.WeylElement(p).dot((0,) * (m - 1)) for p in name}
+    env, arrows, into = bgg._Enveloping(m), {}, {}
+    for edge in rootdata.bruhat_graph(m):
+        lo, up = edge.lower.perm, edge.upper.perm
+        (a, b), v = edge.root, rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
+        counts = tuple(v[a] - v[b] if a < i <= b else 0 for i in range(1, m))
+        arrows[lo, up] = env.singular(weight[lo], counts)
+        into.setdefault(up, []).append(lo)
+    for up in sorted(into, key=lambda p: len(name[p])):
+        rows = {}
+        for col, mid in enumerate(into[up]):
+            for lo in into.get(mid, ()):
+                composite = pbw_sum(env, [(c * d, v + u) for c, u in arrows[lo, mid]
+                                          for d, v in arrows[mid, up]])
+                for mono, v in composite.items():
+                    rows.setdefault((lo, mono), {})[col] = v
+        line = kernel_line(rows.values(), len(into[up]))
+        assert line is not None and len(line) == len(into[up]), up
+        for col, mid in enumerate(into[up]):
+            arrows[mid, up] = [(line[col] * c, w) for c, w in arrows[mid, up]]
+    return {(name[lo], name[up]): terms for (lo, up), terms in arrows.items()}
 
 
 def assert_cleared_sweeps_agree(cx):

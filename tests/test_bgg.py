@@ -2,7 +2,9 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import logging
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -20,7 +22,7 @@ from springercenter.bmodule import (
 )
 from springercenter.exactla import CochainComplex, RowReducer
 from springercenter.ce_oracle import ce_cohomology
-from helpers import SerreQuotient, character
+from helpers import SerreQuotient, character, composite_resolution, kernel_line, pbw_sum
 
 # direct sl5 diamond entries whose components build in well under a second
 SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
@@ -157,12 +159,106 @@ def test_pbw_normal_form_is_the_serre_quotient():
             assert _straighten(env, [(v, words[c]) for c, v in row.items()]) == {}, counts
 
 
+def _bgg_digest(m):
+    """sha256 of the arrows, nodes and node weights of bgg_data(m)."""
+    data = bgg_data(m)
+    return hashlib.sha256(repr((sorted(data.arrows.items()), data.nodes,
+                                sorted(data.weight.items()))).encode()).hexdigest()
+
+
+def test_bgg_data_4_is_pinned():
+    assert _bgg_digest(4) == "844110b85fb22f9abbe5e776527c770a35e08a0d43828facc4cb90a852bb6a8c"
+
+
 def test_bgg_data_5_is_pinned():
     # arrows, nodes and node weights of the generated sl5 resolution
-    data = bgg_data(5)
-    digest = hashlib.sha256(repr((sorted(data.arrows.items()), data.nodes,
-                                  sorted(data.weight.items()))).encode()).hexdigest()
-    assert digest == "34ea3932014d23fa69d9aee6a58263698897100c76d96b37fc837a0f53acf9d8"
+    assert _bgg_digest(5) == "34ea3932014d23fa69d9aee6a58263698897100c76d96b37fc837a0f53acf9d8"
+
+
+def test_bgg_data_6_is_pinned():
+    assert _bgg_digest(6) == "b4ad5ba8a6ee8155547b3c74292fbc55590b05f94725cd1498c584f0026b4fd9"
+
+
+def test_resolution_equals_the_composite_expansion_reference():
+    # the scalars solved on coefficient sums are those solved on the
+    # composites expanded in PBW coordinates
+    for m in (2, 3, 4, 5):
+        assert bgg._resolution(m) == composite_resolution(m), m
+
+
+def test_scaled_paths_cancel_in_pbw_coordinates():
+    # for every up and every lo two layers below, the paths lo -> mid ->
+    # up sum to zero in U(n^-); a length-2 Bruhat interval has 0 or 2 mids
+    for m in (2, 3, 4, 5):
+        res, env = bgg._resolution(m), bgg._Enveloping(m)
+        into = {}
+        for lo, up in res:
+            into.setdefault(up, []).append(lo)
+        for up, mids in into.items():
+            for lo in {lo for mid in mids for lo in into.get(mid, ())}:
+                paths = [mid for mid in mids if (lo, mid) in res]
+                assert len(paths) == 2, (m, lo, up)
+                assert pbw_sum(env, [(c * d, v + u) for mid in paths for c, u in res[lo, mid]
+                                     for d, v in res[mid, up]]) == {}, (m, lo, up)
+
+
+def test_every_arrow_coefficient_sum_is_a_sign():
+    # pi sends each arrow to its coefficient sum times x^weight; the
+    # cancellation systems need it nonzero, and it is +-1
+    for m in (2, 3, 4, 5):
+        assert {abs(sum(c for c, _ in terms)) for terms in bgg_data(m).arrows.values()} == {1}
+
+
+def test_zero_coefficient_sum_names_its_arrow(monkeypatch):
+    # the singular vector of (1,) -> (1, 2), -2 f_1 f_2 + f_2 f_1, given
+    # coefficients that sum to 0
+    singular, mu = bgg._Enveloping.singular, rootdata.WeylElement.from_word(3, (1,)).dot((0, 0))
+
+    def zero_sum(env, weight, counts):
+        if weight == mu and counts == (1, 1):
+            return [(-1, (1, 2)), (1, (2, 1))]
+        return singular(env, weight, counts)
+
+    monkeypatch.setattr(bgg._Enveloping, "singular", zero_sum)
+    with pytest.raises(ValueError, match=r"arrow \(1,\) -> \(1, 2\) has coefficient sum 0"):
+        bgg._resolution(3)
+
+
+def test_line_runs_once_per_bruhat_edge(monkeypatch):
+    # only the singular vectors are solved in PBW coordinates
+    calls, line = [], bgg._Enveloping.line
+
+    def counted(env, columns):
+        calls.append(len(columns))
+        return line(env, columns)
+
+    monkeypatch.setattr(bgg._Enveloping, "line", counted)
+    bgg._resolution(4)
+    assert len(calls) == len(rootdata.bruhat_graph(4)) == 58
+
+
+def test_line_is_the_coprime_kernel_basis_vector():
+    # on random integer systems of every kernel dimension, zero rows and
+    # columns included, and on the singular-vector systems at m = 4
+    rng = random.Random(7)
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        rows = [{c: rng.choice([0, 0, 1, -1, 2, -3, 6]) for c in range(ncols)}
+                for _ in range(rng.randint(0, ncols))]
+        assert bgg._line(rows, ncols) == kernel_line(rows, ncols), (rows, ncols)
+    env, systems, data = bgg._Enveloping(4), [], bgg_data(4)
+    line = env.line
+    env.line = lambda columns: systems.append(columns) or line(columns)
+    for (w, _), terms in data.arrows.items():
+        env.singular(data.weight[w], tuple(terms[0][1].count(i) for i in range(1, 4)))
+    assert len(systems) == 58
+    for columns in systems:
+        rows = {}
+        for col, combos in enumerate(columns):
+            for key, terms in combos.items():
+                for mono, v in pbw_sum(env, terms).items():
+                    rows.setdefault((key, mono), {})[col] = v
+        assert line(columns) == kernel_line(rows.values(), len(columns))
 
 
 def test_generated_sl3_arrows_are_the_classical_singular_vectors():
@@ -250,6 +346,17 @@ def test_profile_degree_drops_the_module_before_ranking(monkeypatch):
     monkeypatch.setattr(CochainComplex, "cohomology_dims", ranks_spy)
     assert bgg.profile_degree(4, k, r, 2) == want
     assert alive == [False]
+
+
+def test_profile_degree_logs_its_maps_at_info_only(caplog):
+    k, r = bgg.entry_component(3, 1, 3)
+    with caplog.at_level(logging.WARNING, logger="springercenter.bgg"):
+        bgg.profile_degree(3, k, r, 1)
+    assert not caplog.records
+    with caplog.at_level(logging.INFO, logger="springercenter.bgg"):
+        bgg.profile_degree(3, k, r, 1)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "V_3^{-4} degree 1: window 8 weights, module dim 12, maps ['4x1', '2x4']"]
 
 
 def test_windowed_component_forms_only_the_lowerings_its_words_read():
