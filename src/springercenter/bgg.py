@@ -15,14 +15,15 @@ matrices along the words, taken from BModule.word_matrices, one call
 per source node; exactla.block_complex lays the blocks out.
 
 The resolution of the trivial module is generated for every m: nodes are
-reduced words of Weyl group elements, and the arrow of a Bruhat cover
-w -> w' is the Verma embedding M(w'.0) -> M(w.0), the singular vector of
-weight w'.0 - w.0 in U(n^-) (BGG 1975; Humphreys 2008, ch. 6).  Each
-singular vector is written on the standard words of its weight, a basis
-of U(n^-) there with one word per Kostant partition (Lalonde-Ram 1995;
-Bokut-Klein 1996 for type A).  Its coefficients are solved in PBW
-coordinates of U(n^-), where each product is straightened by the
-root-vector brackets (de Graaf 2000), with no ideal to eliminate.
+the reduced words of rootdata's Weyl group elements (one-line tuples),
+and the arrow of a Bruhat cover w -> w' is the Verma embedding
+M(w'.0) -> M(w.0), the singular vector of weight w'.0 - w.0 in U(n^-)
+(BGG 1975; Humphreys 2008, ch. 6).  Each singular vector is written on
+the standard words of its weight, a basis of U(n^-) there with one word
+per Kostant partition (Lalonde-Ram 1995; Bokut-Klein 1996 for type A).
+Its coefficients are solved in PBW coordinates of U(n^-), where each
+product is straightened by the root-vector brackets (de Graaf 2000),
+with no ideal to eliminate.
 
 The scalars that make the two paths through each length-2 interval
 lo < mid < up cancel are solved on coefficient sums.  The composites of
@@ -32,7 +33,9 @@ induced by n^- -> n^-/[n^-, n^-] sends f_i to x_i and every other root
 vector to 0, so an arrow of weight gamma to s x^gamma, s its coefficient
 sum; pi is multiplicative, so when no s is 0 the composites cancel
 exactly when the products of their sums do.  Every s is +-1 for m <= 6,
-signs on the squares as in BGG, and a zero s raises.  The data is
+signs on the squares as in BGG, and a zero s raises.  Singular vectors
+and scalars alike are the coprime integer vector of exactla.kernel_basis
+on their system, and a kernel that is not a line raises.  The data is
 validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
 
@@ -49,9 +52,8 @@ complex here, or the Lie algebra cohomology complex of ce_oracle.
 
 import logging
 from functools import lru_cache
-from math import gcd
 
-from .exactla import RowReducer, block_complex
+from .exactla import block_complex, kernel_basis
 from . import rootdata, springer
 
 log = logging.getLogger(__name__)
@@ -65,29 +67,6 @@ def _accumulate(out, terms, c):
             out[key] = v
         else:
             out.pop(key, None)
-
-
-def _line(rows, ncols):
-    """Coprime integers spanning the right kernel of the integer rows
-    (dicts col -> int) on ncols columns, nonzero entries only, the last
-    positive; None unless the kernel is a line.  The pivots are solved
-    down from the one free column, scaling by a / gcd(s, a) at each."""
-    red = RowReducer()
-    for row in rows:
-        red.add(row)
-    if red.rank != ncols - 1:
-        return None
-    x = {next(c for c in range(ncols - 1, -1, -1) if c not in red.echelon): 1}
-    for p in sorted(red.echelon, reverse=True):
-        row = red.echelon[p]
-        s = sum(v * x.get(c, 0) for c, v in row.items())
-        if s:
-            a, g = row[p], gcd(s, row[p])
-            if g != a:
-                x = {c: v * (a // g) for c, v in x.items()}
-            x[p] = -s // g
-    g = gcd(*x.values())
-    return {c: v // g for c, v in x.items()}
 
 
 class _Enveloping:
@@ -171,7 +150,8 @@ class _Enveloping:
                     for mono, v in self.pbw(w).items():
                         row = rows.setdefault((key, mono), {})
                         row[col] = row.get(col, 0) + c * v
-        return _line(rows.values(), len(columns))
+        kernel = kernel_basis(rows.values(), len(columns))
+        return kernel[0] if len(kernel) == 1 else None
 
     def singular(self, mu, counts):
         """The u of weight `counts` with u v_mu singular in M(mu), on the kept
@@ -199,12 +179,11 @@ def _resolution(m):
     scaled so that the two paths from each lo two steps below cancel, on
     coefficient sums (module docstring): one row per lo, one column per
     mid.  An arrow whose sum is 0 raises ValueError."""
-    name = {w.perm: w.reduced_word() for w in rootdata.weyl_group(m)}
-    weight = {p: rootdata.WeylElement(p).dot((0,) * (m - 1)) for p in name}
+    name = {w: rootdata.reduced_word(w) for w in rootdata.weyl_group(m)}
+    weight = {w: rootdata.dot(w, (0,) * (m - 1)) for w in name}
     env, arrows, total, into = _Enveloping(m), {}, {}, {}
-    for edge in rootdata.bruhat_graph(m):
-        lo, up = edge.lower.perm, edge.upper.perm
-        (a, b), v = edge.root, rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
+    for lo, up, (a, b) in rootdata.bruhat_graph(m):
+        v = rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
         counts = tuple(v[a] - v[b] if a < i <= b else 0 for i in range(1, m))
         arrows[lo, up] = env.singular(weight[lo], counts)
         total[lo, up] = sum(c for c, _ in arrows[lo, up])
@@ -216,8 +195,9 @@ def _resolution(m):
         for col, mid in enumerate(into[up]):
             for lo in into.get(mid, ()):
                 rows.setdefault(lo, {})[col] = total[lo, mid] * total[mid, up]
-        line = _line(rows.values(), len(into[up]))
-        if line is None or len(line) != len(into[up]):
+        kernel = kernel_basis(rows.values(), len(into[up]))
+        line = kernel[0] if len(kernel) == 1 else {}
+        if len(line) != len(into[up]):
             raise ValueError("the paths into %r have no cancelling scalars" % (up,))
         for col, mid in enumerate(into[up]):
             arrows[mid, up] = [(line[col] * c, w) for c, w in arrows[mid, up]]
@@ -246,13 +226,13 @@ class BGGData:
         elems, self.weight = {}, {}
         for length, layer in enumerate(self.nodes):
             for word in layer:
-                w = rootdata.WeylElement.from_word(m, word)
-                if not w.length() == len(word) == length:
+                w = rootdata.from_word(m, word)
+                if not rootdata.length(w) == len(word) == length:
                     raise ValueError("word %r is not reduced" % (word,))
-                if w.perm in elems:
+                if w in elems:
                     raise ValueError("duplicate node %r" % (word,))
-                elems[w.perm] = word
-                self.weight[word] = w.dot((0,) * (m - 1))
+                elems[w] = word
+                self.weight[word] = rootdata.dot(w, (0,) * (m - 1))
         if len(elems) != len(rootdata.weyl_group(m)):
             raise ValueError("nodes miss Weyl elements")
         for (w, w2), terms in self.arrows.items():

@@ -78,16 +78,17 @@ def check_bwb(m, get_diamond):
         v = rootdata.to_eps(rootdata.add(lam, rootdata.rho(m)))
         kind, w, mu = rootdata.bwb_classify(lam)
         _require((kind == "singular") == (len(set(v)) < m) and (
-            kind == "singular" or rootdata.is_dominant(mu) and w.dot(lam) == mu),
-            "weight %r classifies as (%s, %r, %r)", lam, kind, w and w.perm, mu)
+            kind == "singular" or rootdata.is_dominant(mu) and rootdata.dot(w, lam) == mu),
+            "weight %r classifies as (%s, %r, %r)", lam, kind, w, mu)
     for w in rootdata.weyl_group(m):
         for _ in range(5):
             lam = tuple(rng.randint(0, 4) for _ in range(m - 1))
-            kind, w2, mu = rootdata.bwb_classify(w.dot(lam))
-            _require(kind == "regular" and mu == lam and w2.perm == w.inverse().perm
-                     and w2.length() == w.length() and w2.dot(w.dot(lam)) == lam,
-                     "weight %r = %r.%r classifies as (%s, %r, %r)",
-                     w.dot(lam), w.perm, lam, kind, w2 and w2.perm, mu)
+            wlam = rootdata.dot(w, lam)
+            kind, w2, mu = rootdata.bwb_classify(wlam)
+            _require(kind == "regular" and mu == lam and w2 == rootdata.inverse(w)
+                     and rootdata.length(w2) == rootdata.length(w)
+                     and rootdata.dot(w2, wlam) == lam,
+                     "weight %r = %r.%r classifies as (%s, %r, %r)", wlam, w, lam, kind, w2, mu)
 
 
 def check_witness(m, get_diamond):

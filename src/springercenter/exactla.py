@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (weight-space quotients, BGG complexes, ideal
-slices) reduces to rank, kernel and quotient computations on sparse
-matrices over Q, so this module keeps those primitives in one place,
-along with block_complex, the one layout of a cochain complex.
-A rational is held in canonical form: an int when it is integral,
+Everything downstream (weight-space quotients, BGG complexes and their
+singular vectors, ideal slices) reduces to rank, kernel and quotient
+computations on sparse matrices over Q, so this module keeps those
+primitives in one place: kernel_basis is the one kernel solver, and
+block_complex the one layout of a cochain complex.  A rational is held in canonical form: an int when it is integral,
 otherwise a Fraction.  Most matrices in the pipeline are integral, and
 int arithmetic costs far less than Fraction arithmetic.  A matrix is
 stored by columns, each a dict row -> value, the form that every
@@ -362,22 +362,28 @@ def rank(mat):
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix with the given sparse rows
-    (dicts col -> value) and ncols columns, one sparse dict per free
-    column."""
+    (dicts col -> value) and ncols columns: for each free column f in
+    ascending order, the coprime integer vector positive at f and zero at
+    the other free columns, nonzero entries only.  From x = {f: 1} the
+    pivots are solved down the echelon: with a the pivot entry and s the
+    row's sum so far, x is scaled by a / gcd(s, a), the pivot -s / gcd."""
     red = RowReducer()
     for row in rows:
         red.add(row)
-    rref = red.reduced_rows()
+    pivots = sorted(red.echelon, reverse=True)
     out = []
-    for c in range(ncols):
-        if c in rref:
-            continue
-        vec = {c: Fraction(1)}
-        for p, row in rref.items():
-            v = row.get(c)
-            if v:
-                vec[p] = -v
-        out.append(vec)
+    for f in sorted(set(range(ncols)) - red.echelon.keys()):
+        x = {f: 1}
+        for p in pivots:
+            row = red.echelon[p]
+            s = sum(v * x.get(c, 0) for c, v in row.items())
+            if s:
+                a, g = row[p], gcd(s, row[p])
+                if g != a:
+                    x = {c: v * (a // g) for c, v in x.items()}
+                x[p] = -s // g
+        g = gcd(*x.values())
+        out.append({c: v // g for c, v in x.items()})
     return out
 
 

@@ -4,8 +4,15 @@ Weights are tuples of m-1 integers in fundamental-weight coordinates.
 Internally most computations pass through "epsilon" coordinates: a
 weight is a length-m integer vector determined up to adding a constant,
 normalized so the last entry is 0, and the fundamental coordinate c_i
-is the difference v_i - v_{i+1}.  Weyl group elements are permutations
-of {0,...,m-1}; s_i swaps positions i-1 and i.
+is the difference v_i - v_{i+1}.
+
+A Weyl group element w is its one-line permutation tuple p of
+{0,...,m-1}, p[x] = w(x), acting by w(eps_x) = eps_{w(x)}; products
+compose as maps, so right multiplication by s_i swaps positions i-1 and
+i, and left multiplication by the reflection t in eps_a - eps_b swaps
+the values a and b.  t w covers w in the Bruhat order when a comes
+before b in p and no value strictly between a and b sits between them
+(Bjorner-Brenti 2005, ch. 2), a test with no product and no length.
 """
 
 import itertools
@@ -75,111 +82,72 @@ def is_dominant(lam):
     return all(c >= 0 for c in lam)
 
 
-class WeylElement:
-    """A permutation w of {0,...,m-1}, acting on eps coordinates."""
-
-    def __init__(self, perm):
-        self.perm = tuple(perm)
-        self.m = len(perm)
-
-    @classmethod
-    def identity(cls, m):
-        return cls(range(m))
-
-    @classmethod
-    def simple(cls, m, i):
-        p = list(range(m))
+def from_word(m, word):
+    """The product s_{word[0]} s_{word[1]} ... as a one-line tuple: right
+    multiplication by s_i swaps positions i-1 and i."""
+    p = list(range(m))
+    for i in word:
         p[i - 1], p[i] = p[i], p[i - 1]
-        return cls(p)
+    return tuple(p)
 
-    @classmethod
-    def from_word(cls, m, word):
-        w = cls.identity(m)
-        for i in word:
-            w = w * cls.simple(m, i)
-        return w
 
-    def __mul__(self, other):
-        # (self*other)(x) = self(other(x))
-        return WeylElement(tuple(self.perm[other.perm[i]] for i in range(self.m)))
+def inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
 
-    def inverse(self):
-        inv = [0] * self.m
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return WeylElement(inv)
 
-    def length(self):
-        p = self.perm
-        return sum(1 for a in range(self.m) for b in range(a + 1, self.m) if p[a] > p[b])
+def length(p):
+    """The number of inversions."""
+    return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
 
-    def act_eps(self, v):
-        """w(eps_i) = eps_{w(i)}, so (w v)_j = v_{w^{-1}(j)}."""
-        out = [0] * self.m
-        for i, x in enumerate(v):
-            out[self.perm[i]] = x
-        return tuple(out)
 
-    def act(self, lam):
-        return from_eps(self.act_eps(to_eps(lam)))
+def act(p, lam):
+    """w(eps_i) = eps_{w(i)}, so (w v)_j = v_{w^{-1}(j)} in eps coordinates."""
+    v, out = to_eps(lam), [0] * len(p)
+    for i, x in enumerate(v):
+        out[p[i]] = x
+    return from_eps(out)
 
-    def dot(self, lam):
-        """Shifted action w.lam = w(lam + rho) - rho."""
-        r = rho(self.m)
-        return sub(self.act(add(lam, r)), r)
 
-    def reduced_word(self):
-        """Greedy word: repeatedly strip a descent on the right."""
-        word = []
-        w = self
-        while True:
-            p = w.perm
-            for i in range(1, w.m):
-                if p[i - 1] > p[i]:
-                    word.append(i)
-                    w = w * WeylElement.simple(w.m, i)
-                    break
-            else:
-                return tuple(reversed(word))
+def dot(p, lam):
+    """Shifted action w.lam = w(lam + rho) - rho."""
+    r = rho(len(p))
+    return sub(act(p, add(lam, r)), r)
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.perm == other.perm
 
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __repr__(self):
-        return "WeylElement%r" % (self.perm,)
+def reduced_word(p):
+    """Greedy word: repeatedly strip the first descent on the right."""
+    p, word = list(p), []
+    while True:
+        for i in range(1, len(p)):
+            if p[i - 1] > p[i]:
+                word.append(i)
+                p[i - 1], p[i] = p[i], p[i - 1]
+                break
+        else:
+            return tuple(reversed(word))
 
 
 def weyl_group(m):
-    return [WeylElement(p) for p in itertools.permutations(range(m))]
-
-
-class BruhatEdge:
-    """A covering pair w -> w' = t w with l(w') = l(w)+1, t the reflection
-    in the positive root eps_a - eps_b."""
-
-    def __init__(self, lower, upper, root):
-        self.lower = lower
-        self.upper = upper
-        self.root = root
-
-    def __repr__(self):
-        return "BruhatEdge(%r -> %r via %r)" % (self.lower.perm, self.upper.perm, self.root)
+    return list(itertools.permutations(range(m)))
 
 
 def bruhat_graph(m):
+    """The Bruhat covers (w, t w, (a, b)), t the reflection in the positive
+    root eps_a - eps_b, in weyl_group order and then positive_roots order.
+    t w swaps the values a and b of w, and covers w exactly when a comes
+    before b and no value strictly between them sits between them."""
     edges = []
-    elems = weyl_group(m)
-    for w in elems:
-        lw = w.length()
+    for w in weyl_group(m):
+        pos = inverse(w)
         for (a, b) in positive_roots(m):
-            t = list(range(m))
-            t[a], t[b] = b, a
-            upper = WeylElement(t) * w
-            if upper.length() == lw + 1:
-                edges.append(BruhatEdge(w, upper, (a, b)))
+            i, j = pos[a], pos[b]
+            if i < j and not any(a < w[x] < b for x in range(i + 1, j)):
+                up = list(w)
+                up[i], up[j] = b, a
+                edges.append((w, tuple(up), (a, b)))
     return edges
 
 
@@ -195,12 +163,8 @@ def bwb_classify(lam):
     if len(set(v)) < m:
         return ("singular", None, None)
     # the sorting permutation: send position i to the rank of v_i
-    order = sorted(range(m), key=lambda i: -v[i])
-    perm = [0] * m
-    for rank_pos, i in enumerate(order):
-        perm[i] = rank_pos
-    w = WeylElement(perm)
-    mu = w.dot(lam)
+    w = inverse(sorted(range(m), key=lambda i: -v[i]))
+    mu = dot(w, lam)
     if not is_dominant(mu):
         raise ValueError("w.lam = %r is not dominant" % (mu,))
     return ("regular", w, mu)
@@ -246,9 +210,9 @@ def candidate_highest_weights(m, weights):
     cands = set()
     r = rho(m)
     for w in weyl_group(m):
-        winv = w.inverse()
+        winv = inverse(w)
         for mu in weights:
-            lam = sub(winv.act(add(mu, r)), r)
+            lam = sub(act(winv, add(mu, r)), r)
             if is_dominant(lam):
                 cands.add(lam)
     return cands

@@ -1,5 +1,6 @@
 """Views of package objects that only the tests need."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from springercenter import bgg, exactla, rootdata
@@ -94,16 +95,45 @@ class SerreQuotient:
         return [w for c, w in enumerate(words) if c not in red.echelon]
 
 
+def rref_kernel(rows, ncols):
+    """The right kernel of the rows (dicts col -> value) on ncols columns,
+    one vector per free column in ascending order, read off the Fraction
+    RREF of RowReducer.reduced_rows(): 1 at the free column, minus that
+    column of each reduced row at its pivot, then scaled to coprime
+    integers.  The reference for exactla.kernel_basis."""
+    red = RowReducer()
+    for row in rows:
+        red.add(row)
+    rref = red.reduced_rows()
+    out = []
+    for f in range(ncols):
+        if f not in rref:
+            vec = {f: Fraction(1), **{p: -row[f] for p, row in rref.items() if row.get(f)}}
+            den = lcm(*[v.denominator for v in vec.values()])
+            g = gcd(*[int(v * den) for v in vec.values()])
+            out.append({c: int(v * den) // g for c, v in vec.items()})
+    return out
+
+
 def kernel_line(rows, ncols):
-    """The right kernel of the integer rows (dicts col -> value) on ncols
-    columns as coprime integers, read off kernel_basis's RREF vector, or
-    None unless the kernel is a line: the reference for bgg._line."""
-    kernel = exactla.kernel_basis(rows, ncols)
-    if len(kernel) != 1:
-        return None
-    den = lcm(*[v.denominator for v in kernel[0].values()])
-    g = gcd(*[int(v * den) for v in kernel[0].values()])
-    return {c: int(v * den) // g for c, v in kernel[0].items()}
+    """rref_kernel's one vector, or None unless the kernel is a line."""
+    kernel = rref_kernel(rows, ncols)
+    return kernel[0] if len(kernel) == 1 else None
+
+
+def product_covers(m):
+    """The Bruhat covers (w, t w, (a, b)) of S_m found by forming each
+    product t w and recounting its inversions, in weyl_group order and
+    then positive_roots order: the reference for rootdata.bruhat_graph."""
+    edges = []
+    for w in rootdata.weyl_group(m):
+        for (a, b) in rootdata.positive_roots(m):
+            t = list(range(m))
+            t[a], t[b] = b, a
+            up = tuple(t[w[x]] for x in range(m))
+            if rootdata.length(up) == rootdata.length(w) + 1:
+                edges.append((w, up, (a, b)))
+    return edges
 
 
 def pbw_sum(env, terms):
@@ -120,12 +150,11 @@ def composite_resolution(m):
     composites of the two-step paths expanded in PBW coordinates, one
     row per (lo, monomial), through kernel_line: the reference for the
     coefficient-sum systems."""
-    name = {w.perm: w.reduced_word() for w in rootdata.weyl_group(m)}
-    weight = {p: rootdata.WeylElement(p).dot((0,) * (m - 1)) for p in name}
+    name = {w: rootdata.reduced_word(w) for w in rootdata.weyl_group(m)}
+    weight = {w: rootdata.dot(w, (0,) * (m - 1)) for w in name}
     env, arrows, into = bgg._Enveloping(m), {}, {}
-    for edge in rootdata.bruhat_graph(m):
-        lo, up = edge.lower.perm, edge.upper.perm
-        (a, b), v = edge.root, rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
+    for lo, up, (a, b) in rootdata.bruhat_graph(m):
+        v = rootdata.to_eps(rootdata.add(weight[lo], rootdata.rho(m)))
         counts = tuple(v[a] - v[b] if a < i <= b else 0 for i in range(1, m))
         arrows[lo, up] = env.singular(weight[lo], counts)
         into.setdefault(up, []).append(lo)

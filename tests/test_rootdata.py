@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from springercenter import rootdata
 from springercenter.rootdata import (
-    WeylElement, weyl_group, bruhat_graph, bwb_classify, weyl_dim,
+    from_word, length, dot, reduced_word, weyl_group, bruhat_graph, bwb_classify, weyl_dim,
     poincare_polynomial, candidate_highest_weights, rho, add,
     simple_root, positive_roots, is_dominant,
 )
+from helpers import product_covers
 
 
 def bruhat_leq(u, v):
@@ -41,22 +42,29 @@ def test_bruhat_cover_counts():
 
 
 def test_bruhat_edges_are_covers():
-    for e in bruhat_graph(3) + bruhat_graph(4):
-        assert e.upper.length() == e.lower.length() + 1
-        assert bruhat_leq(e.lower.perm, e.upper.perm)
+    for lo, up, _ in bruhat_graph(3) + bruhat_graph(4):
+        assert length(up) == length(lo) + 1
+        assert bruhat_leq(lo, up)
+
+
+def test_bruhat_graph_is_the_product_and_recount_reference():
+    # the one-line cover rule gives the same edges in the same order,
+    # which sets the resolution's columns
+    for m in range(2, 7):
+        assert bruhat_graph(m) == product_covers(m), m
 
 
 def test_length_is_inversion_count():
     for m in (2, 3, 4):
         for w in weyl_group(m):
-            word = w.reduced_word()
-            assert len(word) == w.length()
-            assert WeylElement.from_word(m, word).perm == w.perm
+            word = reduced_word(w)
+            assert len(word) == length(w)
+            assert from_word(m, word) == w
 
 
 def test_longest_element_and_group_order():
     for m in (2, 3, 4):
-        lengths = sorted(w.length() for w in weyl_group(m))
+        lengths = sorted(length(w) for w in weyl_group(m))
         n = m * (m - 1) // 2
         assert len(lengths) == sum(poincare_polynomial(m))
         assert lengths[-1] == n
@@ -101,9 +109,9 @@ def test_dot_action_of_simple_reflection():
     for m in (2, 3, 4):
         zero = tuple([0] * (m - 1))
         for i in range(1, m):
-            s = WeylElement.simple(m, i)
+            s = from_word(m, (i,))
             # s_i . 0 = -alpha_i
-            assert s.dot(zero) == tuple(-c for c in simple_root(m, i))
+            assert dot(s, zero) == tuple(-c for c in simple_root(m, i))
 
 
 def test_candidate_highest_weights_cover_dot_orbits():

@@ -47,6 +47,39 @@ def test_no_unused_top_level_imports_in_the_package():
     assert not found, "unused imports: %s" % ", ".join(found)
 
 
+def test_every_package_function_has_a_caller():
+    # a top-level function, class or method that src/, demos/ and
+    # perfbench/ never name is dead code the tests alone keep alive; a
+    # name counts when it is read, taken as an attribute, imported, or
+    # given as a string (the benchmark tracer wraps functions by name)
+    modules = _package_modules()
+    for folder in ("demos", "perfbench"):
+        for name in sorted(os.listdir(os.path.join(ROOT, folder))):
+            if name.endswith(".py"):
+                with open(os.path.join(ROOT, folder, name)) as fh:
+                    modules.append((name, ast.parse(fh.read())))
+    used = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    found = []
+    for rel, tree in _package_modules():
+        for node in tree.body:
+            defs = [node] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [f for f in node.body if isinstance(f, ast.FunctionDef)
+                         and not (f.name.startswith("__") and f.name.endswith("__"))]
+            found += ["%s:%d %s" % (rel, d.lineno, d.name) for d in defs if d.name not in used]
+    assert not found, "never called: %s" % ", ".join(found)
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracer.py wraps package functions by name, so renaming or
     # deleting one would otherwise surface only in a traced benchmark run

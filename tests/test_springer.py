@@ -244,6 +244,15 @@ def test_missing_witness_raises():
         trivial_summand_witness(2, 1, 1)  # V_1^{-2} = n has no weight 0
 
 
+def test_witness_coefficients_are_ints():
+    # the coprime kernel vector: every coefficient is 1, as the Fraction
+    # RREF vector gave it
+    for m, size in ((2, 1), (3, 4), (4, 10)):
+        comp, lift = trivial_summand_witness(m)
+        assert [type(v) for v in lift.values()] == [int] * size
+        assert list(lift.values()) == [1] * size
+
+
 def test_witness_that_is_not_a_line_raises(monkeypatch):
     monkeypatch.setattr(springer, "kernel_basis", lambda rows, ncols: [{0: 1}, {1: 1}])
     with pytest.raises(WitnessNotUnique, match="not a line"):
