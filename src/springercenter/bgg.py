@@ -40,14 +40,12 @@ validated structurally: reduced words, full Weyl group coverage, weight
 homogeneity of every arrow, and d.d == 0 on each module it is run over.
 
 A diamond entry is one degree i of one component's profile, and H^i
-needs only d_{i-1} and d_i.  So each entry builds its component on the
-weights of layers i-1..i+1 and the weights their arrows pass through,
-and assembles only those three terms.  Clearing (exactla) stays valid
-on the pair, as it needs only d_i d_{i-1} = 0: d_{i-1} is ranked on all
-its columns, and d_i off the pivots of im d_{i-1}.
-
-hodge_diamond is the one diamond driver for both routes: the resolution
-complex here, or the Lie algebra cohomology complex of ce_oracle.
+needs no layer above i + 1.  So profile_degree, the one entry driver
+for both routes (the resolution complex here, or the Lie algebra
+cohomology complex of ce_oracle), builds the component on the route's
+window of layers 0..i+1 and assembles only that prefix of its complex.
+Its degrees below i + 1 are those of the whole complex, and clearing
+(exactla) applies from the first map on, as in Ripser (Bauer 2021).
 """
 
 import logging
@@ -327,47 +325,43 @@ def entry_component(m, i, j):
     return k, (i + k) // 2
 
 
-def profile_degree(m, k, r, i):
-    """Degree i of the resolution profile of V_k^{-2r}, from layers
-    lo = max(i - 1, 0) to hi = min(i + 1, n) only, on cochain_window(m,
-    lo, hi).  d_{i-1} is ranked uncleared and d_i off the pivots of
-    im d_{i-1}; cohomology_dims checks d_i d_{i-1} = 0 first, which
-    keeps that clearing valid.  The module is dropped before the ranks:
-    it is many times the size of the three terms (19 times at sl6
-    (7,11)), and nothing else holds it once the complex is built."""
-    lo, hi = max(i - 1, 0), min(i + 1, m * (m - 1) // 2)
-    window = cochain_window(m, lo, hi)
+def _route(method):
+    """(window, cochain) of a route: the resolution ("bgg") or the Lie
+    algebra cohomology complex ("ce"); any other method raises ValueError."""
+    if method == "bgg":
+        return cochain_window, bgg_cochain
+    if method == "ce":
+        from . import ce_oracle
+        return ce_oracle.ce_window, ce_oracle.ce_cochain
+    raise ValueError("unknown method %r: use 'bgg' or 'ce'" % (method,))
+
+
+def profile_degree(m, k, r, i, method="bgg"):
+    """Degree i of the profile of V_k^{-2r} on the route of `method`, from
+    the prefix of its complex on layers 0..hi, hi = min(i + 1, n), built
+    on the route's window of those layers: H^i of the prefix is that of
+    the whole complex.  The module is dropped before the ranks: it is
+    many times the size of the terms (19 times at sl6 (7,11)), and
+    nothing else holds it once the complex is built."""
+    weights, cochain = _route(method)
+    hi = min(i + 1, m * (m - 1) // 2)
+    window = weights(m, hi=hi)
     comp = springer.build_vk_component(m, k, r, window=window)
     dim = comp.module.dim
-    cx = bgg_cochain(comp.module, lo, hi)
+    cx = cochain(comp.module, hi=hi)
     del comp
     if log.isEnabledFor(logging.INFO):
         log.info("V_%d^{-%d} degree %d: window %d weights, module dim %d, maps %s",
                  k, 2 * r, i, len(window), dim,
                  ["%dx%d" % (mp.nrows, mp.ncols) for mp in cx.maps])
-    return cx.cohomology_dims()[i - lo]
-
-
-def _check_method(method):
-    if method not in ("bgg", "ce"):
-        raise ValueError("unknown method %r: use 'bgg' or 'ce'" % (method,))
+    return cx.cohomology_dims()[i]
 
 
 def hodge_entry(m, i, j, method="bgg"):
     """dim of the (-i-j)-graded part of H^i of the j-th exterior power of
-    the tangent sheaf, as a multiplicity of the trivial module: degree i
-    of the profile of the component entry_component(m, i, j).
-
-    method "ce" runs the Lie algebra cohomology complex on the complete
-    component, and "bgg" the resolution complex on the three terms around
-    degree i only, since H^i needs just d_{i-1} and d_i (profile_degree);
-    any other method raises ValueError."""
-    _check_method(method)
-    k, r = entry_component(m, i, j)
-    if method == "ce":
-        from . import ce_oracle
-        return ce_oracle.ce_cohomology(springer.build_vk_component(m, k, r).module)[i]
-    return profile_degree(m, k, r, i)
+    the tangent sheaf, as a multiplicity of the trivial module: degree i of
+    the profile of entry_component(m, i, j) on either route (profile_degree)."""
+    return profile_degree(m, *entry_component(m, i, j), i, method)
 
 
 class EntryFailed(Exception):
@@ -390,18 +384,18 @@ def hodge_diamond(m, jobs=1, method="bgg"):
     route ("ce").
 
     Only the direct entries j <= n are computed, one hodge_entry each
-    (in a pool of `jobs` workers when jobs > 1); entry_component is
-    injective on them, so each component is built once.  They are run
-    from the largest j down, as the costliest entries sit at large j and
-    should not start last in the pool.  The entries with j > n are read
-    off their partners (i, 2n - j)."""
-    _check_method(method)
+    (in a pool of min(jobs, entries) workers when jobs > 1);
+    entry_component is injective on them, so each component is built
+    once.  They are run from the largest j down, as the costliest
+    entries sit at large j and should not start last in the pool.  The
+    entries with j > n are read off their partners (i, 2n - j)."""
+    _route(method)
     n = m * (m - 1) // 2
     entries = diamond_entries(m)
     direct = sorted([(i, j) for (i, j) in entries if j <= n], key=lambda e: (-e[1], e[0]))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(direct))) as ex:
             got = dict(ex.map(_entry_task, [(m, i, j, method) for (i, j) in direct]))
     else:
         got = {(i, j): hodge_entry(m, i, j, method) for (i, j) in direct}

@@ -19,6 +19,10 @@ spaces F[-sum(S)], each formed by the module's own action
 (BModule.root_lower_matrix) on those weights alone; many subsets share
 a weight, so ce_cochain keeps each (root, weight) matrix while it
 assembles one complex, and forms it once.
+
+bgg.profile_degree reads degree i of a diamond entry off the Koszul
+layers 0..i+1 alone, on ce_window(m, i + 1), as it does the resolution's;
+ce_cohomology ranks the whole complex of a complete module.
 """
 
 import itertools
@@ -65,13 +69,23 @@ def _koszul(m):
     return subsets, weight, module_part, bracket_part
 
 
-def ce_cochain(f):
+@lru_cache(maxsize=None)
+def ce_window(m, hi=None):
+    """The weights -sum(S) of the Koszul subsets S with |S| <= hi (all of
+    them when hi is None), the only weights ce_cochain reads on layers
+    0..hi: root_lower_matrix reads just its source and target."""
+    return frozenset(nu for s, nu in _koszul(m)[1].items() if hi is None or len(s) <= hi)
+
+
+def ce_cochain(f, hi=None):
     """The weight-zero Koszul complex Hom(wedge^p n, f) of the module f,
-    whose degree-p cohomology is dim H^p(n, f)^0.  Every weight space it
-    reads must be known: a windowed f raises MissingWeightSpace on a
-    weight outside its window."""
+    whose degree-p cohomology is dim H^p(n, f)^0, on layers 0..hi only
+    (all of them when hi is None), so f needs only ce_window(m, hi).
+    Every weight space it reads must be known: a windowed f raises
+    MissingWeightSpace on a weight outside its window."""
     subsets, weight, module_part, bracket_part = _koszul(f.m)
-    dim = {s: f.weight_dim(nu) for s, nu in weight.items()}
+    subsets = subsets[:None if hi is None else hi + 1]
+    dim = {s: f.weight_dim(weight[s]) for layer in subsets for s in layer}
     eye = {d: SparseMatrix(d, d, {(r, r): 1 for r in range(d)}) for d in set(dim.values())}
     root_matrix = lru_cache(maxsize=None)(f.root_lower_matrix)
 

@@ -21,7 +21,7 @@ from springercenter.bmodule import (
     adjoint_g, sub_n, quotient_u, trivial_module, tensor, wedge, sym, serre_relations,
 )
 from springercenter.exactla import CochainComplex, RowReducer, kernel_basis
-from springercenter.ce_oracle import ce_cohomology
+from springercenter.ce_oracle import ce_cohomology, ce_window
 from helpers import (
     SerreQuotient, character, composite_resolution, kernel_line, pbw_sum, rref_kernel,
 )
@@ -33,6 +33,10 @@ SL5_ENTRIES = [(1, 1), (0, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4)]
 # of it (4,8)
 SL5_CHEAP_ENTRIES = [(0, 4), (3, 5), (4, 6), (4, 8), (5, 5), (5, 7), (6, 6), (6, 8),
                      (6, 10), (7, 7), (7, 9), (8, 8), (8, 10), (9, 9), (10, 10)]
+
+# direct sl5 entries whose CE prefix complexes take about a second or
+# less each
+SL5_CE_ENTRIES = [(3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (6, 10)]
 
 
 def _assert_arrows_cover_bruhat_graph(m):
@@ -333,6 +337,12 @@ def test_sl5_resolution_route_matches_diagonal_coinvariants():
         assert hodge_entry(5, i, j) == dc[(i, j)], (i, j)
 
 
+def test_sl5_ce_route_matches_diagonal_coinvariants():
+    dc = coinvariants.expected_diamond_from_dc(5)
+    for (i, j) in SL5_CE_ENTRIES:
+        assert hodge_entry(5, i, j, "ce") == dc[(i, j)], (i, j)
+
+
 def test_node_layers_match_length_generating_function():
     for m in (2, 3, 4):
         data = bgg_data(m)
@@ -360,13 +370,21 @@ def test_window_contains_all_node_weights():
 
 def test_truncated_degree_matches_the_whole_profile():
     # every degree of every sl3 and sl4 diamond component, including the
-    # degrees that the diamond never reads
-    for m in (3, 4):
+    # degrees that the diamond never reads, on both routes: the prefix
+    # complex on layers 0..hi, on its own window, has the whole profile
+    # below degree hi
+    for method, m in itertools.product(("bgg", "ce"), (3, 4)):
+        window, cochain = bgg._route(method)
         n = m * (m - 1) // 2
         for k, r in {bgg.entry_component(m, i, j) for (i, j) in diamond_entries(m)}:
-            comp = springer.build_vk_component(m, k, r, window=cochain_window(m))
-            profile = multiplicity(comp.module)
-            assert [bgg.profile_degree(m, k, r, i) for i in range(n + 1)] == profile, (m, k, r)
+            profile = multiplicity(springer.build_vk_component(m, k, r).module)
+            for hi in range(n + 1):
+                comp = springer.build_vk_component(m, k, r, window=window(m, hi=hi))
+                got = cochain(comp.module, hi=hi).cohomology_dims()
+                assert len(got) == hi + 1 and got[:hi] == profile[:hi], (method, m, k, r, hi)
+            assert got == profile, (method, m, k, r)
+            assert [bgg.profile_degree(m, k, r, i, method)
+                    for i in range(n + 1)] == profile, (method, m, k, r)
 
 
 def test_profile_degree_drops_the_module_before_ranking(monkeypatch):
@@ -500,6 +518,32 @@ def test_parallel_diamond_matches_serial():
     assert hodge_diamond(3, jobs=2) == hodge_diamond(3)
 
 
+def test_pool_has_at_most_one_worker_per_direct_entry(monkeypatch):
+    # a pool forks all its workers at once, so --jobs 100000 must not ask
+    # for 100,000 processes; sl3 has 6 direct entries.  The pool here is
+    # a stand-in that records its size and maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    want = hodge_diamond(3)
+    for jobs in (2, 6, 7, 100000):
+        assert hodge_diamond(3, jobs=jobs) == want
+    assert sizes == [2, 6, 6, 6]
+
+
 def test_entries_fold_onto_one_component_across_the_middle():
     assert bgg.entry_component(3, 1, 5) == bgg.entry_component(3, 1, 1) == (1, 1)
     assert bgg.entry_component(3, 0, 4) == bgg.entry_component(3, 0, 2) == (2, 1)
@@ -522,11 +566,12 @@ def test_parallel_failure_names_its_entry(monkeypatch):
 
 
 def test_parallel_ce_failure_names_its_entry(monkeypatch):
-    # the CE route builds complete components; (1, 3) is on V_3^{-4}
+    # the CE route builds each component on its Koszul prefix window;
+    # (1, 3) is degree 1 of V_3^{-4}, on the layers 0..2
     real = springer.build_vk_component
 
     def failing(m, k, r, window=None):
-        if (k, r) == (3, 2) and window is None:
+        if (k, r) == (3, 2) and window == ce_window(3, hi=2):
             raise ZeroDivisionError("boom")
         return real(m, k, r, window=window)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import springercenter
-from springercenter import bgg, cli, springer
+from springercenter import bgg, ce_oracle, cli, springer
 from springercenter.exactla import CochainComplex
 from springercenter.cli import (
     parse_expression, render_expression, build_module, ParseError, main,
@@ -313,9 +313,10 @@ def test_verify_computes_each_diamond_entry_once(tmp_path, monkeypatch, capsys):
 
 def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
     # the complex suite builds every diamond component on the whole
-    # window, hodge_diamond each direct entry's component on the three
-    # terms around its degree, and the duality suite the component of
-    # each mirrored entry (i, j), j > 3, on the same per-degree window
+    # window, hodge_diamond each direct entry's component on the prefix
+    # window of layers 0..i+1, and the duality suite the component of
+    # each mirrored entry (i, j), j > 3, on the same per-degree window;
+    # each of them builds a component once
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     built = _count_builds(monkeypatch)
     code, out, _ = run(["verify", "--m", "3"], capsys)
@@ -323,16 +324,20 @@ def test_verify_builds_each_component_once(tmp_path, monkeypatch, capsys):
     assert "FAIL" not in out
     entries = bgg.diamond_entries(3)
     whole = frozenset(bgg.cochain_window(3))
-    near = {i: frozenset(bgg.cochain_window(3, max(i - 1, 0), min(i + 1, 3))) for i in range(4)}
-    want = {(3, *bgg.entry_component(3, i, j), whole) for (i, j) in entries}
-    want |= {(3, *bgg.entry_component(3, i, j), near[i]) for (i, j) in entries if j <= 3}
-    want |= {(3, j, (i + j) // 2, near[i]) for (i, j) in entries if j > 3}
-    windows = {whole, *near.values()}
-    assert {b for b in built if b[3] in windows} == want
+    prefix = {i: frozenset(bgg.cochain_window(3, 0, min(i + 1, 3))) for i in range(4)}
+    want = Counter({(3, *bgg.entry_component(3, i, j), whole) for (i, j) in entries})
+    want += Counter((3, *bgg.entry_component(3, i, j), prefix[i]) for (i, j) in entries if j <= 3)
+    want += Counter((3, j, (i + j) // 2, prefix[i]) for (i, j) in entries if j > 3)
     # the witness suite builds V_2^{-2} on {0, -alpha_1, -alpha_2}, which
-    # is also the degree-0 window of entry (0, 2); nothing else repeats
+    # is also the degree-0 window of entry (0, 2)
+    want[(3, 2, 1, prefix[0])] += 1
+    windows = {whole, *prefix.values()}
+    assert Counter(b for b in built if b[3] in windows) == want
+    # the prefix of degrees 2 and 3 is the whole complex, so entries
+    # (2, 2) and (3, 3) share their builds' window with the complex suite
+    assert prefix[2] == prefix[3] == whole
     repeats = {b: n for b, n in Counter(built).items() if n > 1}
-    assert repeats == {(3, 2, 1, near[0]): 2}
+    assert repeats == {(3, 2, 1, prefix[0]): 2, (3, 2, 2, whole): 2, (3, 3, 3, whole): 2}
 
 
 def test_oracle_suite_builds_each_component_once(monkeypatch, capsys):
@@ -351,8 +356,9 @@ def test_ce_diamond_builds_each_component_once(monkeypatch, capsys):
     code, out, _ = run(["diamond", "--m", "3", "--method", "ce", "--no-cache"], capsys)
     assert code == 0
     assert out.endswith("total 16\n")
-    # 10 entries, but (i, j) and (i, 6 - j) share one complete component
-    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, None)
+    # 10 entries, but (i, j) and (i, 6 - j) share one component, built
+    # on the Koszul layers 0..i+1 that degree i reads
+    want = {(3, min(j, 6 - j), (i + min(j, 6 - j)) // 2, ce_oracle.ce_window(3, hi=min(i + 1, 3)))
             for (i, j) in bgg.diamond_entries(3)}
     assert len(want) == 6
     assert sorted(built) == sorted(want)
